@@ -14,7 +14,6 @@ from .cnf import (
     CapabilityError,
     CnfFormula,
     InfeasibleError,
-    Literal,
     ParseError,
     PartialSetError,
     UnsatError,

@@ -19,7 +19,7 @@ from .cnf import (
     evaluate_keys,
     rotate,
 )
-from .measures import DispersionObjective, NO_WEIGHT, SolutionCollection
+from .measures import DispersionObjective, NO_WEIGHT, SolutionCollection, popcount
 
 ENUMERATION_LIMIT = 24  # 16M assignments; override per call when you mean it
 
@@ -45,26 +45,10 @@ def enumerate_solutions(formula, limit=None):
     )
 
 
-def solution_keys(formula, limit=None):
-    """Keys of enumerate_solutions as an int64 array."""
-    return np.array(
-        [z.key for z in enumerate_solutions(formula, limit)], dtype=np.int64
-    )
-
-
-def _popcount(arr):
-    arr = arr.astype(np.uint64)
-    out = np.zeros(arr.shape, dtype=np.int64)
-    while arr.any():
-        out += (arr & 1).astype(np.int64)
-        arr >>= np.uint64(1)
-    return out
-
-
 def distance_matrix(keys):
     """Pairwise Hamming distances of assignment keys, as int64."""
     keys = np.asarray(keys, dtype=np.int64)
-    return _popcount(keys[:, None] ^ keys[None, :])
+    return popcount(keys[:, None] ^ keys[None, :])
 
 
 def _filter_weight(solutions, weight):

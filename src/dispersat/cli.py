@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import statistics
 import sys
 import time
@@ -52,7 +51,7 @@ from .measures import (
     min_pairwise_distance,
     sum_pairwise_distance,
 )
-from .ppz import OracleConfig, ppz_farthest, ppz_solve, ppz_solve_counted
+from .ppz import OracleConfig, ppz_farthest, ppz_solve_counted
 from .schoning import (
     budget_math,
     get_variant,
@@ -365,16 +364,6 @@ def _build_parser():
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--effort", type=float, default=1.0)
     common.add_argument("--repetitions", type=int, default=None)
-    try:
-        default_workers = int(os.environ.get("DISPERSAT_WORKERS", "1"))
-    except ValueError:
-        default_workers = 1
-    common.add_argument(
-        "--workers",
-        type=int,
-        default=default_workers,
-        help="parallelism hint; results are independent of it",
-    )
     parser = argparse.ArgumentParser(
         prog="dispersat",
         description="dispersed satisfying assignments of k-CNF formulas",

@@ -42,43 +42,6 @@ class PartialSetError(RuntimeError):
         self.partial = partial
 
 
-class Literal:
-    """A possibly negated variable.  `variable` is 1-based."""
-
-    __slots__ = ("variable", "negated")
-
-    def __init__(self, variable, negated=False):
-        if variable < 1:
-            raise ValueError("variable index must be >= 1")
-        self.variable = int(variable)
-        self.negated = bool(negated)
-
-    @classmethod
-    def from_int(cls, lit):
-        if lit == 0:
-            raise ValueError("0 is not a literal")
-        return cls(abs(lit), lit < 0)
-
-    def to_int(self):
-        return -self.variable if self.negated else self.variable
-
-    def __neg__(self):
-        return Literal(self.variable, not self.negated)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Literal)
-            and self.variable == other.variable
-            and self.negated == other.negated
-        )
-
-    def __hash__(self):
-        return hash((self.variable, self.negated))
-
-    def __repr__(self):
-        return f"Literal({self.to_int()})"
-
-
 class Assignment:
     """An immutable point of {0,1}^n.
 
@@ -273,7 +236,6 @@ def parse_dimacs(text):
     n = None
     clauses = []
     current = []
-    saw_tokens = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line[0] in "c%":
@@ -284,11 +246,13 @@ def parse_dimacs(text):
                 raise ParseError("malformed header (expected 'p cnf n m')", lineno)
             try:
                 n = int(parts[2])
-                int(parts[3])
+                m = int(parts[3])
             except ValueError:
                 raise ParseError("malformed header (non-integer counts)", lineno)
             if n < 0:
                 raise ParseError("negative variable count", lineno)
+            if m < 0:
+                raise ParseError("negative clause count", lineno)
             continue
         if n is None:
             raise ParseError("clause before 'p cnf' header", lineno)
@@ -297,7 +261,6 @@ def parse_dimacs(text):
                 lit = int(tok)
             except ValueError:
                 raise ParseError(f"not an integer literal: {tok!r}", lineno)
-            saw_tokens = True
             if lit == 0:
                 clauses.append(current)
                 current = []
@@ -311,7 +274,6 @@ def parse_dimacs(text):
         raise ParseError("empty input: no 'p cnf' header found")
     if current:
         clauses.append(current)
-    del saw_tokens
     return CnfFormula(n, clauses)
 
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .brute import enumerate_solutions, farthest_min, farthest_sum
 from .cnf import (
     Assignment,
@@ -18,6 +20,7 @@ from .cnf import (
 from .measures import (
     SolutionCollection,
     WeightKind,
+    farthest_index,
     sum_distance_to,
     sum_pairwise_distance,
 )
@@ -119,12 +122,10 @@ def schoning_weighted_min_oracle(plan, cfg, w, kind=WeightKind.AT_LEAST):
             zero = Assignment.zeros(n)
             if evaluate(formula, zero):
                 candidates.append(zero)
-        best = None
-        for out in candidates:
-            cand = (min(out.distance(a) for a in anchors), -out.key, out)
-            if best is None or cand[:2] > best[:2]:
-                best = cand
-        return None if best is None else best[2]
+        if not candidates:
+            return None
+        keys = [z.key for z in candidates]
+        return candidates[farthest_index(keys, [a.key for a in anchors], np.min)]
 
     return FarthestOracle("min", fn)
 

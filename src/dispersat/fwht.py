@@ -22,7 +22,7 @@ from .cnf import (
     UnsatError,
     evaluate_keys,
 )
-from .measures import DispersionObjective, SolutionCollection
+from .measures import DispersionObjective, SolutionCollection, popcount
 
 FWHT_LIMIT = 26
 DISPERSION_WORK_LIMIT = 24  # cap on (s-1)*n
@@ -100,18 +100,6 @@ def convolve(f, g, limit=FWHT_LIMIT):
     return DenseTable(f.n, _convolve_against_hat(f.n, fhat, g_values))
 
 
-_POPCOUNT_CACHE = {}
-
-
-def _popcount_table(n):
-    if n not in _POPCOUNT_CACHE:
-        pc = np.zeros(1 << n, dtype=np.int64)
-        for b in range(n):
-            pc += (np.arange(1 << n) >> b) & 1
-        _POPCOUNT_CACHE[n] = pc
-    return _POPCOUNT_CACHE[n]
-
-
 def exact_diameter(formula, limit=FWHT_LIMIT):
     """A solution pair at exactly the diameter of the solution space.
 
@@ -124,10 +112,8 @@ def exact_diameter(formula, limit=FWHT_LIMIT):
         raise UnsatError("formula has no satisfying assignment")
     conv = convolve(f, f, limit)
     assert (conv.values >= 0).all(), "pair counts must be nonnegative"
-    positive = conv.values > 0
-    pc = _popcount_table(formula.n)
-    weights = np.where(positive, pc, -1)
-    y = int(np.argmax(weights))
+    positive = np.flatnonzero(conv.values > 0)
+    y = int(positive[np.argmax(popcount(positive))])
     fb = f.values.astype(bool)
     x = int(np.argmax(fb & fb[np.arange(1 << formula.n) ^ y]))
     return Assignment(formula.n, x), Assignment(formula.n, x ^ y)
@@ -174,8 +160,8 @@ def exact_dispersion(formula, s, objective, limit=FWHT_LIMIT):
         raise InfeasibleError(
             f"only {num_solutions} solutions, need a set of {s}"
         )
-    pc = _popcount_table(n)
     idx = np.arange(1 << n)
+    pc = popcount(idx)
     size = 1 << n
     fhat = fwht(f, limit).values
     best_value = -1

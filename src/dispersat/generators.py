@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cnf import Assignment, CnfFormula
+from .cnf import Assignment, CapabilityError, CnfFormula
+
+MAX_KEY_BITS = 63  # assignment keys are int64
 
 
 def random_kcnf(n, k, m, rng):
@@ -20,13 +22,19 @@ def random_kcnf(n, k, m, rng):
     return CnfFormula(n, clauses)
 
 
+def _random_key(n, rng):
+    if n > MAX_KEY_BITS:
+        raise CapabilityError(f"n={n} exceeds the {MAX_KEY_BITS}-bit key limit")
+    return int(rng.integers(1 << n))
+
+
 def planted_kcnf(n, k, m, rng, planted=None):
     """m random width-k clauses, each satisfied by every planted assignment.
 
     Defaults to one uniform planted solution; returns (formula, planted).
     """
     if planted is None:
-        planted = [Assignment(n, int(rng.integers(1 << n)))]
+        planted = [Assignment(n, _random_key(n, rng))]
     width = min(k, n)
     clauses = []
     while len(clauses) < m:
@@ -71,7 +79,7 @@ def separated_planted_instance(n, k, m, count, rng):
     if count > len(words):
         raise ValueError(f"at most {len(words)} separated solutions at n={n}")
     chosen = [words[int(i)] for i in rng.choice(len(words), count, replace=False)]
-    offset = Assignment(n, int(rng.integers(1 << n)))
+    offset = Assignment(n, _random_key(n, rng))
     perm = rng.permutation(n)
     planted = []
     for word in chosen:

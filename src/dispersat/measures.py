@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 
 class DispersionObjective(Enum):
     MIN_PD = "min"
@@ -84,6 +86,25 @@ class SolutionCollection:
 
     def sorted(self):
         return SolutionCollection(sorted(self.members), distinct=self.distinct)
+
+
+def popcount(keys):
+    """Set bits of each nonnegative integer key, as int64."""
+    return np.bitwise_count(np.asarray(keys)).astype(np.int64)
+
+
+def best_index(scores, keys):
+    """Index of the highest score, ties going to the smallest key."""
+    return int(np.lexsort((keys, -np.asarray(scores)))[0])
+
+
+def farthest_index(keys, anchor_keys, reduce):
+    """Index of the farthest point oracle's answer among `keys`: the key
+    whose Hamming distances to `anchor_keys`, combined by `reduce`
+    (np.min or np.sum), are largest, ties going to the smallest key."""
+    keys = np.asarray(keys, dtype=np.int64)
+    dist = popcount(keys[:, None] ^ np.asarray(anchor_keys, dtype=np.int64))
+    return best_index(reduce(dist, axis=1), keys)
 
 
 def min_pairwise_distance(collection):

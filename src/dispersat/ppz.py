@@ -17,6 +17,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .cnf import Assignment, CapabilityError, condition, evaluate_keys
+from .measures import farthest_index
 
 _MASK64 = (1 << 64) - 1
 _BATCH = 1 << 13  # fixed logical batch so results never depend on scheduling
@@ -28,8 +29,8 @@ TAU_LIMIT = 7
 class OracleConfig:
     """Randomness and budget knobs for the randomized oracles.
 
-    repetitions=None resolves to ceil(effort * 4 n^2 * 2^(n - n/k)),
-    capped by HARD_REPETITION_CAP.
+    repetitions=None resolves to ceil(effort * 4 n^2 * growth), capped by
+    HARD_REPETITION_CAP; growth is 2^(n - n/k) for PPZ.
     """
 
     seed: int = 0
@@ -37,12 +38,16 @@ class OracleConfig:
     effort: float = 1.0
 
     def resolve(self, n, k):
+        return self.budget(n, 2 ** (n - n / max(k, 1)))
+
+    def budget(self, n, growth):
+        """Repetitions of a search expected to need about 4 n^2 growth
+        tries: `repetitions` if set, else that count scaled by `effort`."""
         if self.repetitions is not None:
             if self.repetitions < 1:
                 raise ValueError("repetitions must be >= 1")
             return min(self.repetitions, HARD_REPETITION_CAP)
-        keff = max(k, 1)
-        auto = math.ceil(self.effort * 4 * n * n * 2 ** (n - n / keff))
+        auto = math.ceil(self.effort * 4 * n * n * growth)
         return max(1, min(auto, HARD_REPETITION_CAP))
 
     def spawn(self, *salt):
@@ -247,69 +252,42 @@ def ppz_solve_counted(formula, cfg=OracleConfig()):
     return None, total
 
 
-def _run_argmax(formula, cfg, score_fn, reject_keys=None):
-    """Best satisfying output by (score, then lexicographically smallest).
-
-    score_fn maps (out_bits, satisfied_rows_bits) -> int array; rejects
-    outputs whose key is in reject_keys when given.
-    """
+def _batch_winners(formula, cfg, anchor_keys, reduce, reject_keys=None):
+    """Keys of each batch's farthest satisfying output (see
+    `farthest_index`), skipping outputs whose key is in reject_keys."""
     total = cfg.resolve(formula.n, formula.k)
-    best = None  # (score, key, Assignment)
+    winners = []
     for out, satisfied, _ in _batches(formula, cfg, total):
-        if not satisfied.any():
-            continue
-        hits = out[satisfied]
-        keys = _keys_from_bits(hits)
+        keys = _keys_from_bits(out[satisfied])
         if reject_keys is not None:
-            keep = ~np.isin(keys, reject_keys)
-            if not keep.any():
-                continue
-            hits = hits[keep]
-            keys = keys[keep]
-        scores = score_fn(hits)
-        order = np.lexsort((keys, -scores))
-        top = order[0]
-        cand = (int(scores[top]), int(keys[top]))
-        if best is None or (cand[0], -cand[1]) > (best[0], -best[1]):
-            best = (cand[0], cand[1], Assignment(formula.n, cand[1]))
-    return None if best is None else best[2]
+            keys = keys[~np.isin(keys, reject_keys)]
+        if keys.size:
+            winners.append(keys[farthest_index(keys, anchor_keys, reduce)])
+    return np.array(winners, dtype=np.int64)
+
+
+def _farthest(n, keys, anchor_keys, reduce):
+    if not keys.size:
+        return None
+    return Assignment(n, int(keys[farthest_index(keys, anchor_keys, reduce)]))
 
 
 def ppz_farthest(formula, z, cfg=OracleConfig()):
     """Satisfying output (approximately) farthest from `z`."""
     if z.n != formula.n:
         raise ValueError("anchor length mismatch")
-    zb = z.to_array()
-
-    def score(hits):
-        return (hits.astype(bool) != zb).sum(axis=1)
-
-    return _run_argmax(formula, cfg, score)
-
-
-def _anchor_matrix(anchors):
-    return np.array([a.to_array() for a in anchors], dtype=bool)
+    return ppz_farthest_sum(formula, [z], cfg)
 
 
 def ppz_farthest_sum(formula, anchors, cfg=OracleConfig(), exclude=False):
     """Satisfying output maximizing the distance sum to `anchors`;
     exclude=True discards outputs equal to an anchor (distinct variant)."""
-    anchors = list(anchors)
-    if not anchors:
+    anchor_keys = [a.key for a in anchors]
+    if not anchor_keys:
         raise ValueError("anchor set must be non-empty")
-    mat = _anchor_matrix(anchors)
-
-    def score(hits):
-        return (hits.astype(bool)[:, None, :] != mat[None, :, :]).sum(
-            axis=2
-        ).sum(axis=1)
-
-    reject = (
-        np.array(sorted({a.key for a in anchors}), dtype=np.int64)
-        if exclude
-        else None
-    )
-    return _run_argmax(formula, cfg, score, reject_keys=reject)
+    reject = np.array(anchor_keys, dtype=np.int64) if exclude else None
+    winners = _batch_winners(formula, cfg, anchor_keys, np.sum, reject)
+    return _farthest(formula.n, winners, anchor_keys, np.sum)
 
 
 def ball_radius(n, k):
@@ -332,41 +310,21 @@ def ppz_farthest_min(formula, anchors, cfg=OracleConfig()):
     Phase 1 searches the Hamming balls of the budget-neutral radius
     around every anchor exhaustively; phase 2 runs PPZ repetitions.
     """
-    anchors = list(anchors)
-    if not anchors:
+    anchor_keys = [z.key for z in anchors]
+    if not anchor_keys:
         raise ValueError("anchor set must be non-empty")
     n = formula.n
     radius = ball_radius(n, formula.k)
-    mat = _anchor_matrix(anchors)
-    best = None  # (score, key)
     ball_keys = set()
-    for z in anchors:
-        ball_keys.add(z.key)
+    for key in anchor_keys:
+        ball_keys.add(key)
         for r in range(1, radius + 1):
             for positions in combinations(range(n), r):
                 flip = 0
                 for p in positions:
                     flip |= 1 << (n - 1 - p)
-                ball_keys.add(z.key ^ flip)
-    if ball_keys:
-        keys = np.array(sorted(ball_keys), dtype=np.int64)
-        ok = evaluate_keys(formula, keys)
-        if ok.any():
-            good = keys[ok]
-            bits = ((good[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
-            scores = (bits[:, None, :] != mat[None, :, :]).sum(axis=2).min(axis=1)
-            order = np.lexsort((good, -scores))
-            top = order[0]
-            best = (int(scores[top]), int(good[top]))
-
-    def score(hits):
-        return (hits.astype(bool)[:, None, :] != mat[None, :, :]).sum(
-            axis=2
-        ).min(axis=1)
-
-    ppz_best = _run_argmax(formula, cfg, score)
-    if ppz_best is not None:
-        cand = (min(ppz_best.distance(a) for a in anchors), ppz_best.key)
-        if best is None or (cand[0], -cand[1]) > (best[0], -best[1]):
-            best = cand
-    return None if best is None else Assignment(n, best[1])
+                ball_keys.add(key ^ flip)
+    keys = np.fromiter(ball_keys, dtype=np.int64, count=len(ball_keys))
+    ball_hits = keys[evaluate_keys(formula, keys)]
+    winners = _batch_winners(formula, cfg, anchor_keys, np.min)
+    return _farthest(n, np.concatenate([ball_hits, winners]), anchor_keys, np.min)

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cnf import Assignment
+from .measures import farthest_index
 
 _MASK64 = (1 << 64) - 1
 
@@ -252,29 +253,28 @@ def anchored_ls(formula, z, r, plan, rng):
     return local_search(formula, y, t, plan.variant, rng)
 
 
-def _anchored_argmax(n, plan, cfg, anchors, r_values, search, objective, accepts):
-    """Shared (r, anchor, repetition) loop; every repetition is its own
-    seeded task so the result is independent of evaluation order.  Best
-    output by (objective, then lexicographically smallest); the first
-    qualifying output is kept even at objective 0."""
-    best = None  # (score, -key, Assignment)
+def _anchored_argmax(plan, cfg, starts, r_values, search, anchor_keys, reduce, accepts):
+    """Shared (r, start anchor, repetition) loop; every repetition is its
+    own seeded task so the result is independent of evaluation order.
+    Of the outputs that `accepts` admits, returns the farthest from
+    `anchor_keys` by `reduce` (see `farthest_index`), even at distance 0."""
+    found = []
     for r in r_values:
         t = plan.walk_radius(r)
         reps = plan.per_r_repetitions(r, cfg.effort)
         lo, hi = max(r - t, 0), r + t
-        for ai, anchor in enumerate(anchors):
+        for ai, anchor in enumerate(starts):
             for rep in range(reps):
                 rng = np.random.default_rng(
                     np.random.SeedSequence([cfg.seed & _MASK64, r, ai, rep])
                 )
                 y = sample_annulus(anchor, lo, hi, rng)
                 out = search(y, t, rng)
-                if out is None or not accepts(out):
-                    continue
-                cand = (objective(out), -out.key, out)
-                if best is None or cand[:2] > best[:2]:
-                    best = cand
-    return None if best is None else best[2]
+                if out is not None and accepts(out):
+                    found.append(out)
+    if not found:
+        return None
+    return found[farthest_index([z.key for z in found], anchor_keys, reduce)]
 
 
 def _weight_window(n, w, delta):
@@ -283,36 +283,43 @@ def _weight_window(n, w, delta):
     return (1 - delta) * w, (1 + delta) * w
 
 
-def schoning_farthest_weighted(formula, anchors, w, plan, cfg):
-    """Best satisfying output by min-distance to `anchors` whose weight
-    lies in [(1-delta) W, (1+delta) W]; W=0 means no weight window.
+def anchored_farthest_min(anchors, plan, cfg, search, lo_w, hi_w):
+    """Best output of `search(y, t, rng)` by min-distance to `anchors`
+    whose weight lies in [lo_w, hi_w].
 
-    Anchoring at the all-zeros point alongside the given set is what
-    ties output weight to W.
+    Starts are drawn around every anchor and around the all-zeros point;
+    the latter is what ties output weight to the window.
     """
     anchors = list(anchors)
     if not anchors:
         raise ValueError("anchor set must be non-empty")
-    n = formula.n
-    if not 0 <= w <= n:
-        raise ValueError("W must lie in 0..n")
-    lo_w, hi_w = _weight_window(n, w, plan.delta)
-
-    def accepts(z):
-        return lo_w <= z.weight() <= hi_w
-
-    def objective(z):
-        return min(z.distance(a) for a in anchors)
-
+    n = anchors[0].n
     return _anchored_argmax(
-        n,
         plan,
         cfg,
         anchors + [Assignment.zeros(n)],
         range(1, n + 1),
+        search,
+        [a.key for a in anchors],
+        np.min,
+        lambda z: lo_w <= z.weight() <= hi_w,
+    )
+
+
+def schoning_farthest_weighted(formula, anchors, w, plan, cfg):
+    """Best satisfying output by min-distance to `anchors` whose weight
+    lies in [(1-delta) W, (1+delta) W]; W=0 means no weight window."""
+    n = formula.n
+    if not 0 <= w <= n:
+        raise ValueError("W must lie in 0..n")
+    lo_w, hi_w = _weight_window(n, w, plan.delta)
+    return anchored_farthest_min(
+        anchors,
+        plan,
+        cfg,
         lambda y, t, rng: local_search(formula, y, t, plan.variant, rng),
-        objective,
-        accepts,
+        lo_w,
+        hi_w,
     )
 
 
@@ -321,19 +328,14 @@ def schoning_farthest_sum(formula, anchors, plan, cfg):
     anchors = list(anchors)
     if not anchors:
         raise ValueError("anchor set must be non-empty")
-    n = formula.n
-
-    def objective(z):
-        return sum(z.distance(a) for a in anchors)
-
     return _anchored_argmax(
-        n,
         plan,
         cfg,
         anchors,
-        range(0, n + 1),
+        range(0, formula.n + 1),
         lambda y, t, rng: local_search(formula, y, t, plan.variant, rng),
-        objective,
+        [a.key for a in anchors],
+        np.sum,
         lambda z: True,
     )
 
@@ -347,10 +349,7 @@ def schoning_solve(formula, cfg):
 def schoning_solve_counted(formula, cfg):
     """(solution or None, restarts consumed)."""
     n = formula.n
-    k = max(formula.k, 2)
-    auto = math.ceil(cfg.effort * 4 * n * n * (2 * (1 - 1 / k)) ** n)
-    total = cfg.repetitions if cfg.repetitions is not None else max(1, auto)
-    total = min(total, 1 << 26)
+    total = cfg.budget(n, (2 * (1 - 1 / max(formula.k, 2))) ** n)
     for i in range(total):
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed & _MASK64, i])

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cnf import (
     Assignment,
     CapabilityError,
@@ -24,7 +22,7 @@ from .cnf import (
     UnsatError,
 )
 from .dispersion import FarthestOracle, gonzalez_min
-from .schoning import _anchored_argmax, make_generic_plan
+from .schoning import anchored_farthest_min, make_generic_plan
 
 
 @dataclass(frozen=True)
@@ -238,27 +236,15 @@ def diverse_min(system, s, delta, cfg):
     opt, witness = minimum_feasible_weight(system)
     delta = Fraction(delta)
     plan = make_generic_plan(n, system.c, delta)
-    hi_w = (1 + delta) * opt
-    lo_w = (1 - delta) * opt
-
-    def accepts(z):
-        return lo_w <= z.weight() <= hi_w
+    lo_w, hi_w = (1 - delta) * opt, (1 + delta) * opt
 
     def search(y, t, rng):
         found = plfs(_assignment_to_set(y), t)
         return None if found is None else _set_to_assignment(n, found)
 
     def fn(formula, anchors, salt):
-        inner = cfg.spawn(2, *salt)
-        return _anchored_argmax(
-            n,
-            plan,
-            inner,
-            list(anchors) + [Assignment.zeros(n)],
-            range(1, n + 1),
-            search,
-            lambda z: min(z.distance(a) for a in anchors),
-            accepts,
+        return anchored_farthest_min(
+            anchors, plan, cfg.spawn(2, *salt), search, lo_w, hi_w
         )
 
     oracle = FarthestOracle("min", fn)

@@ -3,7 +3,6 @@ import pytest
 from dispersat.cnf import (
     Assignment,
     CnfFormula,
-    Literal,
     ParseError,
     condition,
     evaluate,
@@ -51,12 +50,6 @@ class TestAssignment:
             A("01").distance(A("011"))
 
 
-class TestLiteral:
-    def test_int_roundtrip(self):
-        assert Literal.from_int(-3).to_int() == -3
-        assert (-Literal(2)).to_int() == -2
-
-
 class TestParse:
     def test_basic(self):
         f = parse_dimacs("p cnf 2 1\n1 2 0")
@@ -82,6 +75,11 @@ class TestParse:
     def test_malformed_header(self):
         with pytest.raises(ParseError):
             parse_dimacs("p dnf 2 1\n1 0")
+
+    def test_negative_clause_count(self):
+        with pytest.raises(ParseError) as err:
+            parse_dimacs("p cnf 3 -5\n1 2 0\n")
+        assert err.value.line == 1
 
     def test_comments_and_multiline_clause(self):
         f = parse_dimacs("c comment\np cnf 3 2\n1\n-2 0 3 0")

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from dispersat.cnf import Assignment
@@ -8,8 +9,11 @@ from dispersat.measures import (
     SolutionCollection,
     WeightConstraint,
     WeightKind,
+    best_index,
     dispersion_measures,
+    farthest_index,
     min_pairwise_distance,
+    popcount,
     sum_pairwise_distance,
 )
 
@@ -80,3 +84,69 @@ def test_weight_constraint():
 def test_objective_values():
     assert DispersionObjective("min") is DispersionObjective.MIN_PD
     assert DispersionObjective("sum-distinct") is DispersionObjective.SUM_PD_DISTINCT
+
+
+# The farthest-point core against the loop and tensor code it replaced.
+
+
+def _popcount_loop(arr):
+    arr = np.asarray(arr).astype(np.uint64)
+    out = np.zeros(arr.shape, dtype=np.int64)
+    while arr.any():
+        out += (arr & 1).astype(np.int64)
+        arr >>= np.uint64(1)
+    return out
+
+
+def _tuple_merge(scores, keys):
+    """Key of the best (score, -key) pair, merged one candidate at a time."""
+    best = None
+    for score, key in zip(scores, keys):
+        cand = (int(score), -int(key))
+        if best is None or cand > best:
+            best = cand
+    return -best[1]
+
+
+def _bool_tensor_scores(n, keys, anchor_keys, reduce):
+    shifts = np.arange(n - 1, -1, -1)
+    bits = ((np.asarray(keys)[:, None] >> shifts) & 1).astype(bool)
+    mat = ((np.asarray(anchor_keys)[:, None] >> shifts) & 1).astype(bool)
+    return reduce((bits[:, None, :] != mat[None, :, :]).sum(axis=2), axis=1)
+
+
+def test_popcount_is_int64_and_matches_bit_loop():
+    rng = np.random.default_rng(0)
+    keys = rng.integers(0, 1 << 63, size=500, dtype=np.int64)
+    keys[:3] = [0, 1, (1 << 63) - 1]
+    counts = popcount(keys)
+    assert counts.dtype == np.int64
+    assert (counts == _popcount_loop(keys)).all()
+    assert counts[2] == 63
+    table = popcount(np.arange(1 << 10))
+    assert table.dtype == np.int64
+    assert (table == [bin(i).count("1") for i in range(1 << 10)]).all()
+    # a signed result: the exact layer writes -1 into popcount tables
+    assert np.where(table > 0, table, -1).min() == -1
+
+
+def test_best_index_matches_tuple_merge_with_ties_and_duplicates():
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        size = int(rng.integers(1, 40))
+        keys = rng.integers(0, 16, size=size, dtype=np.int64)
+        scores = rng.integers(0, 4, size=size, dtype=np.int64)
+        assert keys[best_index(scores, keys)] == _tuple_merge(scores, keys)
+
+
+@pytest.mark.parametrize("reduce", [np.min, np.sum])
+def test_farthest_index_matches_bool_tensor_scorer(reduce):
+    rng = np.random.default_rng(2 if reduce is np.min else 3)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        keys = rng.integers(0, 1 << n, size=int(rng.integers(1, 30)), dtype=np.int64)
+        anchors = rng.integers(0, 1 << n, size=int(rng.integers(1, 5)), dtype=np.int64)
+        scores = _bool_tensor_scores(n, keys, anchors, reduce)
+        got = keys[farthest_index(keys, anchors, reduce)]
+        assert got == _tuple_merge(scores, keys)
+        assert got == keys[farthest_index(list(keys), list(anchors), reduce)]

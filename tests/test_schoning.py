@@ -7,6 +7,7 @@ import pytest
 
 from dispersat.brute import enumerate_solutions, farthest_min
 from dispersat.cnf import Assignment, CnfFormula, evaluate
+from dispersat import ppz, schoning
 from dispersat.ppz import OracleConfig
 from dispersat.schoning import (
     anchored_ls,
@@ -21,6 +22,7 @@ from dispersat.schoning import (
     schoning_farthest_sum,
     schoning_farthest_weighted,
     schoning_solve,
+    schoning_solve_counted,
     schoning_walk,
     variant_one,
     variant_two,
@@ -338,3 +340,43 @@ class TestSolve:
                 assert out1 is not None and evaluate(f, out1)
             else:
                 assert out1 is None
+
+    @staticmethod
+    def _old_budget(n, k, cfg):
+        """The restart count as schoning_solve_counted computed it inline."""
+        k = max(k, 2)
+        auto = math.ceil(cfg.effort * 4 * n * n * (2 * (1 - 1 / k)) ** n)
+        total = cfg.repetitions if cfg.repetitions is not None else max(1, auto)
+        return min(total, 1 << 26)
+
+    def test_budget_matches_the_inline_formula(self, monkeypatch):
+        # walks that never succeed make the call return (None, budget)
+        monkeypatch.setattr(schoning, "schoning_walk", lambda *args: None)
+        for n in range(1, 9):
+            for k in range(1, 5):
+                f = CnfFormula(n, [tuple(range(1, min(k, n) + 1))])
+                for cfg in (
+                    OracleConfig(seed=1, effort=0.01),
+                    OracleConfig(seed=1, effort=0.15),
+                    OracleConfig(seed=1, repetitions=7),
+                ):
+                    _, used = schoning_solve_counted(f, cfg)
+                    assert used == self._old_budget(n, f.k, cfg)
+        monkeypatch.setattr(ppz, "HARD_REPETITION_CAP", 30)
+        f = CnfFormula(12, [(1, 2, 3)])
+        for cfg in (OracleConfig(effort=1.0), OracleConfig(repetitions=1000)):
+            assert schoning_solve_counted(f, cfg) == (None, 30)
+
+    def test_budget_over_the_key_range(self):
+        for n in range(1, 64):
+            for k in range(1, 12):
+                for effort in (1e-9, 1e-3, 0.1, 0.5, 1.0, 3.0):
+                    cfg = OracleConfig(effort=effort)
+                    growth = (2 * (1 - 1 / max(k, 2))) ** n
+                    assert cfg.budget(n, growth) == self._old_budget(n, k, cfg)
+
+    def test_zero_repetitions_rejected(self):
+        f = CnfFormula(3, [(1, 2)])
+        for reps in (0, -2):
+            with pytest.raises(ValueError):
+                schoning_solve_counted(f, OracleConfig(repetitions=reps))
