@@ -175,7 +175,8 @@ def opt_min_clique(x, s):
         members = sorted(points[q] for q in idx)
     witness = SolutionCollection(members, distinct=True)
     got = min_pairwise_distance(witness)
-    assert got == best_d or (best_d == 0 and got >= 0), "threshold search broke"
+    if not (got == best_d or (best_d == 0 and got >= 0)):
+        raise AssertionError("threshold search broke")
     return witness
 
 
@@ -237,5 +238,6 @@ def opt_sum_clique(x, s, distinct=True):
     )
     members = sorted(points[q] for q in idx)
     witness = SolutionCollection(members, distinct=distinct)
-    assert sum_pairwise_distance(witness) == best_val, "weight bookkeeping broke"
+    if sum_pairwise_distance(witness) != best_val:
+        raise AssertionError("weight bookkeeping broke")
     return witness

@@ -231,7 +231,8 @@ def parse_dimacs(text):
 
     Comment lines start with 'c' (or '%'); the header is "p cnf n m".
     Clauses are 0-terminated signed integer lists and may span lines; a
-    clause left open at end of input is closed there.
+    clause left open at end of input is closed there.  The clauses read,
+    tautologies included, must number exactly m.
     """
     n = None
     clauses = []
@@ -274,6 +275,8 @@ def parse_dimacs(text):
         raise ParseError("empty input: no 'p cnf' header found")
     if current:
         clauses.append(current)
+    if len(clauses) != m:
+        raise ParseError(f"header declared {m} clauses, found {len(clauses)}")
     return CnfFormula(n, clauses)
 
 

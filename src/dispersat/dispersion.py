@@ -229,7 +229,8 @@ def sum_disperse(formula, s, oracle, seeder):
         after = sum_pairwise_distance(
             SolutionCollection(members, distinct=False)
         )
-        assert after >= current, "swap phase decreased sumPD"
+        if after < current:
+            raise AssertionError("swap phase decreased sumPD")
         current = after
         if not changed:
             break

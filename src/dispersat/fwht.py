@@ -111,7 +111,8 @@ def exact_diameter(formula, limit=FWHT_LIMIT):
     if not f.values.any():
         raise UnsatError("formula has no satisfying assignment")
     conv = convolve(f, f, limit)
-    assert (conv.values >= 0).all(), "pair counts must be nonnegative"
+    if (conv.values < 0).any():
+        raise AssertionError("pair counts must be nonnegative")
     positive = np.flatnonzero(conv.values > 0)
     y = int(positive[np.argmax(popcount(positive))])
     fb = f.values.astype(bool)
@@ -175,7 +176,8 @@ def exact_dispersion(formula, s, objective, limit=FWHT_LIMIT):
         for w in w_tuple:
             g = g * f.values[idx ^ w]
         conv_values = _convolve_against_hat(n, fhat, g)
-        assert (conv_values >= 0).all(), "tuple counts must be nonnegative"
+        if (conv_values < 0).any():
+            raise AssertionError("tuple counts must be nonnegative")
         mask = conv_values > 0
         if objective is DispersionObjective.SUM_PD_DISTINCT:
             mask = mask.copy()

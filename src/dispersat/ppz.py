@@ -12,15 +12,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
 from .cnf import Assignment, CapabilityError, condition, evaluate_keys
+from .generators import MAX_KEY_BITS
 from .measures import farthest_index
 
 _MASK64 = (1 << 64) - 1
 _BATCH = 1 << 13  # fixed logical batch so results never depend on scheduling
+_SOLVE_CUTS = (1 << 6, 1 << 8, 1 << 10, 1 << 12, _BATCH)  # early-exit segments
+_BALL_CHUNK = 1 << 16  # keys per evaluate_keys call in phase 1
+_WORDS = (np.uint8, np.uint16, np.uint32, np.uint64)
 HARD_REPETITION_CAP = 1 << 26
 TAU_LIMIT = 7
 
@@ -94,79 +98,74 @@ def ppz_modify(formula, sample):
 class _Engine:
     """Vectorized PPZ-Modify over batches of (y, pi) samples.
 
-    Per clause and sample it tracks satisfaction, the number of
-    unassigned literals, and their signed sum (which IS the remaining
-    literal when the count is one).  Clause index m is a dummy used to
-    pad the per-variable incidence lists.
+    Each sample's partial assignment is two words of the narrowest
+    unsigned type holding n bits: `true` has the variables set true,
+    `false` those set false (variable v is bit n - v, as in keys).
+    Row v of `po`/`no` holds the positive/negative literal masks,
+    without v's own bit, of the clauses containing v in clause order;
+    such a clause forces v once all its other literals are false.
+    Padding columns are all ones, so they are never unit.  A step packs
+    each sample's unit flags into lanes (bit j = j-th clause of v) and
+    takes the lowest set bit, whose bit in the lane of `sign` says
+    whether v is positive there: the first unit clause wins.
     """
 
     def __init__(self, formula):
-        self.n = formula.n
-        clauses = formula.clauses
-        self.m = len(clauses)
-        m = self.m
-        self.len0 = np.zeros(m + 1, dtype=np.int16)
-        self.lsum0 = np.zeros(m + 1, dtype=np.int32)
-        self.len0[m] = 30000
-        pos = [[] for _ in range(self.n + 1)]
-        neg = [[] for _ in range(self.n + 1)]
-        for ci, clause in enumerate(clauses):
-            self.len0[ci] = len(clause)
-            self.lsum0[ci] = sum(clause)
+        n = self.n = formula.n
+        word = self.word = next(w for w in _WORDS if np.iinfo(w).bits >= n)
+        self.bit = np.array([0] + [1 << (n - v) for v in range(1, n + 1)], word)
+        pmask = [sum(1 << (n - l) for l in c if l > 0) for c in formula.clauses]
+        nmask = [sum(1 << (n + l) for l in c if l < 0) for c in formula.clauses]
+        self.pmask = np.array(pmask, dtype=word)
+        self.nmask = np.array(nmask, dtype=word)
+        rows = [[] for _ in range(n + 1)]
+        for ci, clause in enumerate(formula.clauses):
             for lit in clause:
-                (pos if lit > 0 else neg)[abs(lit)].append(ci)
-
-        def pad(lists):
-            width = max((len(l) for l in lists), default=0)
-            width = max(width, 1)
-            arr = np.full((self.n + 1, width), m, dtype=np.int64)
-            for v, l in enumerate(lists):
-                arr[v, : len(l)] = l
-            return arr
-
-        self.pos = pad(pos)
-        self.neg = pad(neg)
-        self.inc = pad(
-            [sorted(pos[v] + neg[v]) for v in range(self.n + 1)]
-        )
+                own = ~(1 << (n - abs(lit)))
+                rows[abs(lit)].append((pmask[ci] & own, nmask[ci] & own, lit > 0))
+        width = max(8, *(len(row) for row in rows))
+        bits = min(64, 1 << (width - 1).bit_length())  # lane width
+        self.lane = np.dtype(f"<u{bits // 8}")
+        width = -(-width // bits) * bits
+        self.po = np.full((n + 1, width), np.iinfo(word).max, dtype=word)
+        self.no = self.po.copy()
+        sign = np.zeros((n + 1, width), dtype=bool)
+        for v, row in enumerate(rows):
+            if row:
+                cols = len(row)
+                self.po[v, :cols], self.no[v, :cols], sign[v, :cols] = zip(*row)
+        self.sign = np.packbits(sign, axis=1, bitorder="little").view(self.lane)
 
     def run(self, ys, pis):
         """ys: (B, n) 0/1 bits, variable 1 in column 0; pis: (B, n)
-        1-based processing orders.  Returns (out_bits, satisfied)."""
-        b = ys.shape[0]
-        n = self.n
-        rows = np.arange(b)[:, None]
-        ar = np.arange(b)
-        cnt = np.tile(self.len0, (b, 1))
-        lsum = np.tile(self.lsum0, (b, 1))
-        sat = np.zeros((b, self.m + 1), dtype=bool)
-        out = np.zeros((b, n), dtype=np.uint8)
-        for step in range(n):
-            v = pis[:, step]
-            inc = self.inc[v]
-            c_sat = sat[rows, inc]
-            c_cnt = cnt[rows, inc]
-            c_lsum = lsum[rows, inc]
-            unit = (~c_sat) & (c_cnt == 1) & (np.abs(c_lsum) == v[:, None])
-            has = unit.any(axis=1)
-            first = np.argmax(unit, axis=1)
-            forced = c_lsum[ar, first] > 0
-            val = np.where(has, forced, ys[ar, v - 1].astype(bool))
-            out[ar, v - 1] = val
-            pos = self.pos[v]
-            neg = self.neg[v]
-            col = val[:, None]
-            sat[rows, pos] |= col
-            sat[rows, neg] |= ~col
-            cnt[rows, pos] -= ~col
-            cnt[rows, neg] -= col
-            lsum[rows, pos] -= np.where(col, 0, v[:, None]).astype(np.int32)
-            lsum[rows, neg] += np.where(col, v[:, None], 0).astype(np.int32)
-        satisfied = sat[:, : self.m].all(axis=1)
-        return out, satisfied
+        1-based processing orders.  Returns (int64 keys, satisfied)."""
+        b = len(ys)
+        y = ys.astype(self.word) @ self.bit[1:]
+        true = np.zeros(b, dtype=self.word)
+        false = np.zeros_like(true)
+        for v in pis.T:
+            open_lits = self.po.take(v, axis=0) & ~false[:, None]
+            open_lits |= self.no.take(v, axis=0) & ~true[:, None]
+            units = np.packbits(open_lits == 0, axis=None, bitorder="little")
+            units = units.view(self.lane).reshape(b, -1)
+            signs = self.sign.take(v, axis=0)
+            bit = self.bit[v]
+            value = y & bit
+            for lane in reversed(range(units.shape[1])):  # lowest lane wins
+                unit = units[:, lane]
+                forced = (signs[:, lane] & unit & -unit) != 0
+                value = np.where(unit != 0, bit * forced, value)
+            true |= value
+            false |= value ^ bit
+        sat = (self.pmask[:, None] & true) | (self.nmask[:, None] & false)
+        return true.astype(np.int64), (sat != 0).all(axis=0)
 
 
 def _engine(formula):
+    if formula.n > MAX_KEY_BITS:
+        raise CapabilityError(
+            f"the PPZ engine packs keys in int64; n={formula.n} > {MAX_KEY_BITS}"
+        )
     eng = getattr(formula, "_ppz_engine", None)
     if eng is None:
         eng = _Engine(formula)
@@ -174,30 +173,26 @@ def _engine(formula):
     return eng
 
 
-def _keys_from_bits(bits):
-    n = bits.shape[1]
-    powers = (1 << np.arange(n - 1, -1, -1)).astype(np.int64)
-    return bits.astype(np.int64) @ powers
-
-
-def _batches(formula, cfg, total):
-    """Yield (out_bits, satisfied, start_index) for `total` seeded samples."""
+def _batches(formula, cfg, total, cuts=(_BATCH,)):
+    """Yield (keys, satisfied, start_index) for `total` seeded samples;
+    each seeded block of _BATCH samples is run in segments ending at
+    `cuts`, so a caller can stop early without changing the stream."""
     eng = _engine(formula)
     n = formula.n
     base = np.tile(np.arange(1, n + 1, dtype=np.int64), (_BATCH, 1))
-    done = 0
-    batch_index = 0
-    while done < total:
+    for batch_index, done in enumerate(range(0, total, _BATCH)):
         take = min(_BATCH, total - done)
         gen = np.random.default_rng(
             np.random.SeedSequence([cfg.seed & _MASK64, batch_index])
         )
         ys = gen.integers(0, 2, size=(_BATCH, n), dtype=np.uint8)
         pis = gen.permuted(base, axis=1)
-        out, satisfied = eng.run(ys[:take], pis[:take])
-        yield out, satisfied, done
-        done += take
-        batch_index += 1
+        lo = 0
+        for cut in cuts:
+            hi = min(cut, take)
+            if lo < hi:
+                yield (*eng.run(ys[lo:hi], pis[lo:hi]), done + lo)
+            lo = hi
 
 
 def tau_histogram(formula):
@@ -207,9 +202,7 @@ def tau_histogram(formula):
         raise CapabilityError(f"tau_exact enumerates 2^n * n!; n={n} > {TAU_LIMIT}")
     eng = _engine(formula)
     perms = np.array(list(permutations(range(1, n + 1))), dtype=np.int64)
-    ys_all = np.zeros((1 << n, n), dtype=np.uint8)
-    for v in range(n):
-        ys_all[:, v] = (np.arange(1 << n) >> (n - 1 - v)) & 1
+    ys_all = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     counts = np.zeros(1 << n, dtype=np.int64)
     chunk = max(1, _BATCH // (1 << n))
     for start in range(0, len(perms), chunk):
@@ -217,10 +210,11 @@ def tau_histogram(formula):
         reps = block.shape[0]
         ys = np.tile(ys_all, (reps, 1))
         pis = np.repeat(block, 1 << n, axis=0)
-        out, _ = eng.run(ys, pis)
-        counts += np.bincount(_keys_from_bits(out), minlength=1 << n)
+        keys, _ = eng.run(ys, pis)
+        counts += np.bincount(keys, minlength=1 << n)
     denominator = math.factorial(n) << n
-    assert counts.sum() == denominator
+    if counts.sum() != denominator:
+        raise AssertionError("tau histogram lost samples")
     return counts, denominator
 
 
@@ -242,13 +236,10 @@ def ppz_solve(formula, cfg=OracleConfig()):
 def ppz_solve_counted(formula, cfg=OracleConfig()):
     """(solution or None, number of iterations consumed)."""
     total = cfg.resolve(formula.n, formula.k)
-    for out, satisfied, start in _batches(formula, cfg, total):
+    for keys, satisfied, start in _batches(formula, cfg, total, _SOLVE_CUTS):
         if satisfied.any():
             row = int(np.argmax(satisfied))
-            return (
-                Assignment.from_array(out[row].astype(bool)),
-                start + row + 1,
-            )
+            return Assignment(formula.n, int(keys[row])), start + row + 1
     return None, total
 
 
@@ -257,8 +248,8 @@ def _batch_winners(formula, cfg, anchor_keys, reduce, reject_keys=None):
     `farthest_index`), skipping outputs whose key is in reject_keys."""
     total = cfg.resolve(formula.n, formula.k)
     winners = []
-    for out, satisfied, _ in _batches(formula, cfg, total):
-        keys = _keys_from_bits(out[satisfied])
+    for keys, satisfied, _ in _batches(formula, cfg, total):
+        keys = keys[satisfied]
         if reject_keys is not None:
             keys = keys[~np.isin(keys, reject_keys)]
         if keys.size:
@@ -304,27 +295,45 @@ def ball_radius(n, k):
     return radius
 
 
+def _ball_masks(n, radius):
+    """XOR masks of weight <= radius over n bits, weight by weight, each
+    weight sorted: a weight-r mask is a weight-(r-1) one plus a bit above
+    its top bit.  Written in place, so the ball is held once."""
+    masks = np.zeros(sum(math.comb(n, r) for r in range(radius + 1)), np.int64)
+    prev, at = masks[:1], 1
+    for _ in range(radius):
+        start = at
+        for p in range(n):
+            low = prev[: np.searchsorted(prev, 1 << p)]
+            np.bitwise_or(low, 1 << p, out=masks[at : at + low.size])
+            at += low.size
+        prev = masks[start:at]
+    return masks
+
+
 def ppz_farthest_min(formula, anchors, cfg=OracleConfig()):
     """Satisfying output maximizing the minimum distance to `anchors`.
 
     Phase 1 searches the Hamming balls of the budget-neutral radius
-    around every anchor exhaustively; phase 2 runs PPZ repetitions.
+    around every anchor exhaustively, in chunks of _BALL_CHUNK keys;
+    phase 2 runs PPZ repetitions.
     """
-    anchor_keys = [z.key for z in anchors]
-    if not anchor_keys:
+    anchor_keys = np.array([z.key for z in anchors], dtype=np.int64)
+    if not anchor_keys.size:
         raise ValueError("anchor set must be non-empty")
     n = formula.n
     radius = ball_radius(n, formula.k)
-    ball_keys = set()
-    for key in anchor_keys:
-        ball_keys.add(key)
-        for r in range(1, radius + 1):
-            for positions in combinations(range(n), r):
-                flip = 0
-                for p in positions:
-                    flip |= 1 << (n - 1 - p)
-                ball_keys.add(key ^ flip)
-    keys = np.fromiter(ball_keys, dtype=np.int64, count=len(ball_keys))
-    ball_hits = keys[evaluate_keys(formula, keys)]
-    winners = _batch_winners(formula, cfg, anchor_keys, np.min)
-    return _farthest(n, np.concatenate([ball_hits, winners]), anchor_keys, np.min)
+    ball = sum(math.comb(n, r) for r in range(radius + 1))
+    if anchor_keys.size * ball > HARD_REPETITION_CAP:
+        raise CapabilityError(
+            f"phase 1 would evaluate {anchor_keys.size * ball} keys (radius "
+            f"{radius}, n={n}), above the cap of {HARD_REPETITION_CAP}"
+        )
+    masks = _ball_masks(n, radius)
+    step = max(1, _BALL_CHUNK // anchor_keys.size)
+    hits = []
+    for lo in range(0, masks.size, step):
+        keys = (anchor_keys[:, None] ^ masks[lo : lo + step]).ravel()
+        hits.append(keys[evaluate_keys(formula, keys)])
+    hits.append(_batch_winners(formula, cfg, anchor_keys, np.min))
+    return _farthest(n, np.concatenate(hits), anchor_keys, np.min)

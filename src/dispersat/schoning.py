@@ -212,7 +212,8 @@ def local_search(formula, y, t, variant, rng):
     for _ in range(variant.repetitions(t)):
         out = schoning_walk(formula, y, length, rng)
         if out is not None:
-            assert y.distance(out) <= length, "walk escaped its radius"
+            if y.distance(out) > length:
+                raise AssertionError("walk escaped its radius")
             return out
     return None
 

@@ -81,6 +81,12 @@ class TestParse:
             parse_dimacs("p cnf 3 -5\n1 2 0\n")
         assert err.value.line == 1
 
+    def test_clause_count_mismatch(self):
+        for text in ("p cnf 3 5\n1 2 0\n", "p cnf 3 1\n1 0\n2 0\n", "p cnf 2 1\n"):
+            with pytest.raises(ParseError):
+                parse_dimacs(text)
+        assert parse_dimacs("p cnf 2 2\n1 -1 0\n2").clauses == ((2,),)
+
     def test_comments_and_multiline_clause(self):
         f = parse_dimacs("c comment\np cnf 3 2\n1\n-2 0 3 0")
         assert f.clauses == ((1, -2), (3,))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,9 +8,12 @@ import pytest
 
 from dispersat.brute import enumerate_solutions, solution_adjacency
 from dispersat.cnf import Assignment, CapabilityError, CnfFormula, evaluate
+from dispersat.generators import planted_kcnf
 from dispersat.ppz import (
     OracleConfig,
     PpzSample,
+    _ball_masks,
+    _batches,
     _engine,
     ball_radius,
     ppz_farthest,
@@ -69,27 +73,73 @@ class TestModify:
             PpzSample(A("00"), (1, 1))
 
 
+def engine_keys(f, samples):
+    ys = np.array([s.y.bits for s in samples], dtype=np.uint8).reshape(len(samples), f.n)
+    pis = np.array([s.pi for s in samples], dtype=np.int64).reshape(len(samples), f.n)
+    return _engine(f).run(ys, pis)
+
+
+def random_samples(rng, n, count):
+    samples = []
+    for _ in range(count):
+        pi = list(range(1, n + 1))
+        rng.shuffle(pi)
+        samples.append(PpzSample(Assignment(n, rng.randrange(1 << n)), tuple(pi)))
+    return samples
+
+
+def assert_engine_matches_modify(f, samples):
+    keys, satisfied = engine_keys(f, samples)
+    assert keys.dtype == np.int64
+    for row, sample in enumerate(samples):
+        expected = ppz_modify(f, sample)
+        assert Assignment(f.n, int(keys[row])) == expected
+        assert bool(satisfied[row]) == evaluate(f, expected)
+
+
 class TestEngine:
     def test_matches_scalar_on_random_inputs(self):
         rng = random.Random(17)
         for _ in range(25):
             n = rng.randint(1, 6)
             f = random_formula(rng, n, m=rng.randint(0, 3 * n))
-            eng = _engine(f)
-            samples = []
-            for _ in range(8):
-                y = Assignment(n, rng.randrange(1 << n))
-                pi = list(range(1, n + 1))
-                rng.shuffle(pi)
-                samples.append(PpzSample(y, tuple(pi)))
-            ys = np.array([s.y.bits for s in samples], dtype=np.uint8)
-            pis = np.array([s.pi for s in samples], dtype=np.int64)
-            out, satisfied = eng.run(ys, pis)
-            for row, sample in enumerate(samples):
-                expected = ppz_modify(f, sample)
-                got = Assignment.from_array(out[row].astype(bool))
-                assert got == expected
-                assert bool(satisfied[row]) == evaluate(f, got)
+            assert_engine_matches_modify(f, random_samples(rng, n, 8))
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 31, 32, 33, 62, 63])
+    def test_bit_identical_across_word_boundaries(self, n):
+        rng = random.Random(n)
+        for trial in range(3):
+            clauses = [
+                [rng.choice([-1, 1]) * v for v in rng.sample(range(1, n + 1), w)]
+                for w in rng.choices([1, 2, 3, 4], k=rng.randint(n // 2, 2 * n))
+            ]
+            if trial == 1:
+                v = rng.randint(1, n)
+                clauses[:0] = [(-v,), (v,)]  # contradictory units
+            if trial == 2:
+                clauses.append(())
+            f = CnfFormula(n, clauses)
+            samples = random_samples(rng, n, 12)
+            assert_engine_matches_modify(f, samples)
+
+    @pytest.mark.parametrize("occurrences", [7, 8, 9, 17, 33, 64, 65, 130])
+    def test_bit_identical_across_lane_boundaries(self, occurrences):
+        # variable 1 sits in `occurrences` clauses, so its unit flags fill
+        # one 8-, 16-, 32- or 64-bit lane, or several 64-bit lanes
+        rng = random.Random(occurrences)
+        n = 6
+        clauses = []
+        for _ in range(occurrences):
+            others = rng.sample(range(2, n + 1), rng.randint(0, 2))
+            clauses.append([rng.choice([-1, 1]) * v for v in [1] + others])
+        f = CnfFormula(n, clauses)
+        samples = random_samples(rng, n, 40)
+        assert_engine_matches_modify(f, samples)
+
+    def test_n64_refused(self):
+        with pytest.raises(CapabilityError):
+            _engine(CnfFormula(64, [(1, 64)]))
+        assert ppz_solve(CnfFormula(63, [(1, -63)]), OracleConfig(seed=1)) is not None
 
 
 class TestEngineEdges:
@@ -98,12 +148,23 @@ class TestEngineEdges:
         sample = PpzSample(A("00"), (2, 1))
         out = ppz_modify(f, sample)
         assert out == A("10")  # unit still forces x1; empty clause just fails
-        eng = _engine(f)
-        ys = np.array([[0, 0]], dtype=np.uint8)
-        pis = np.array([[2, 1]], dtype=np.int64)
-        bits, satisfied = eng.run(ys, pis)
-        assert Assignment.from_array(bits[0].astype(bool)) == out
+        keys, satisfied = engine_keys(f, [sample])
+        assert Assignment(2, int(keys[0])) == out
         assert not satisfied[0]
+
+    def test_contradictory_units_first_clause_wins(self):
+        for clauses, y, expected in (([(-1,), (1,)], "1", "0"), ([(1,), (-1,)], "0", "1")):
+            f = CnfFormula(1, clauses)
+            keys, satisfied = engine_keys(f, [PpzSample(A(y), (1,))])
+            assert Assignment(1, int(keys[0])) == A(expected)
+            assert not satisfied[0]
+
+    def test_zero_variables(self):
+        samples = [PpzSample(Assignment(0, 0), ())]
+        keys, satisfied = engine_keys(CnfFormula(0, []), samples)
+        assert keys.tolist() == [0] and satisfied.tolist() == [True]
+        keys, satisfied = engine_keys(CnfFormula(0, [()]), samples)
+        assert keys.tolist() == [0] and satisfied.tolist() == [False]
 
     def test_single_variable(self):
         f = CnfFormula(1, [(-1,)])
@@ -119,6 +180,19 @@ class TestTauExact:
         f = CnfFormula(3, [(1, 2, 3)])
         counts, denom = tau_histogram(f)
         assert counts.sum() == denom == math.factorial(3) * 8
+
+    def test_histogram_matches_scalar_enumeration(self):
+        rng = random.Random(41)
+        for n in range(1, 5):
+            for _ in range(3):
+                f = random_formula(rng, n, k=2, m=rng.randint(0, 2 * n))
+                expected = [0] * (1 << n)
+                for key in range(1 << n):
+                    for pi in itertools.permutations(range(1, n + 1)):
+                        expected[ppz_modify(f, PpzSample(Assignment(n, key), pi)).key] += 1
+                counts, denom = tau_histogram(f)
+                assert counts.tolist() == expected
+                assert denom == math.factorial(n) << n
 
     def test_limit(self):
         with pytest.raises(CapabilityError):
@@ -168,6 +242,25 @@ class TestSolve:
         z2, it2 = ppz_solve_counted(f, cfg)
         assert (z1, it1) == (z2, it2)
 
+    def test_early_exit_matches_full_blocks(self):
+        # segments of 64, 256, ... rows must report the same first hit as
+        # running each seeded block whole
+        f, _ = planted_kcnf(14, 3, 60, np.random.default_rng(1))
+        iterations = set()
+        for seed in range(12):
+            cfg = OracleConfig(seed=seed, effort=0.05)
+            expected = (None, cfg.resolve(f.n, f.k))
+            for keys, satisfied, start in _batches(f, cfg, expected[1]):
+                if satisfied.any():
+                    row = int(np.argmax(satisfied))
+                    expected = (Assignment(f.n, int(keys[row])), start + row + 1)
+                    break
+            assert ppz_solve_counted(f, cfg) == expected
+            iterations.add(expected[1])
+        assert min(iterations) <= 64 < 256 < max(iterations)
+        unsat = CnfFormula(1, [(1,), (-1,)])
+        assert ppz_solve_counted(unsat, OracleConfig(repetitions=9000)) == (None, 9000)
+
     def test_budget_resolution(self):
         cfg = OracleConfig(seed=0, effort=1.0)
         assert cfg.resolve(6, 3) == math.ceil(4 * 36 * 2 ** (6 - 2))
@@ -212,6 +305,22 @@ class TestFarthest:
         f = CnfFormula(2, [(1, 2)])
         z = ppz_farthest_min(f, [A("01")], OracleConfig(seed=8))
         assert z == A("10")
+
+    def test_ball_masks_enumerate_the_ball(self):
+        for n, radius in ((1, 1), (5, 0), (6, 2), (9, 4)):
+            expected = sorted(
+                sum(1 << p for p in positions)
+                for r in range(radius + 1)
+                for positions in itertools.combinations(range(n), r)
+            )
+            assert sorted(_ball_masks(n, radius).tolist()) == expected
+
+    def test_farthest_min_refuses_oversized_ball_at_once(self):
+        rng = random.Random(40)
+        f = random_formula(rng, 40, k=3, m=160)
+        assert ball_radius(40, 3) == 8  # 1.0e8 keys per ball
+        with pytest.raises(CapabilityError):
+            ppz_farthest_min(f, [Assignment(40, 0)], OracleConfig(seed=1))
 
     def test_ball_radius_examples(self):
         assert ball_radius(6, 3) == 1
