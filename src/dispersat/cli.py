@@ -3,7 +3,8 @@ minimization, reductions, runtime estimation, and the speedup probe.
 
 Every emitted assignment is re-verified against the input before it is
 printed.  Exit codes: 0 on success, 1 when the instance is UNSAT /
-INFEASIBLE / nothing was found under the budget, 2 on usage errors.
+INFEASIBLE / nothing was found under the budget / too large for the
+chosen algorithm (TOO_LARGE), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from . import __version__
 from .brute import brute_opt, diameter_via_min_ones, enumerate_solutions
 from .cnf import (
+    CapabilityError,
     InfeasibleError,
     ParseError,
     PartialSetError,
@@ -449,6 +451,9 @@ def run(argv):
         report.message = str(err)
     except InfeasibleError as err:
         report.status = "INFEASIBLE"
+        report.message = str(err)
+    except CapabilityError as err:
+        report.status = "TOO_LARGE"
         report.message = str(err)
     except PartialSetError as err:
         report.status = "NOT_FOUND"

@@ -307,6 +307,26 @@ def evaluate_keys(formula, keys):
     return ok
 
 
+def solution_indicator(formula):
+    """Boolean vector over all 2^n keys, True where the key satisfies
+    `formula`.
+
+    A clause of width w is false on exactly one subcube of 2^(n-w)
+    points: each of its variables fixed to the value falsifying its
+    literal.  Clearing that subcube in a (2,)*n view of an all-true
+    table costs O(m 2^(n-w)) writes; an empty clause clears everything.
+    The caller bounds n: the table takes 2^n bytes.
+    """
+    n = formula.n
+    table = np.ones((2,) * n, dtype=bool)
+    for clause in formula.clauses:
+        falsified = [slice(None)] * n
+        for lit in clause:
+            falsified[abs(lit) - 1] = 0 if lit > 0 else 1
+        table[tuple(falsified)] = False
+    return table.reshape(-1)
+
+
 def condition(formula, variable, value):
     """Fix `variable` to `value`: drop satisfied clauses, remove false
     literals of the variable from the rest."""

@@ -1,17 +1,25 @@
 """Exact diameter and exact s-dispersion through Walsh-Hadamard
 XOR convolution.
 
-The indicator vector of the solution space is convolved with itself
-(or with shifted products of itself); a positive entry at difference
-vector y certifies a solution pair (tuple) realizing y.  All arithmetic
-is exact int64: convolution entries are counts and the positivity test
-must not be subject to rounding.
+The indicator vector of the solution space (`cnf.solution_indicator`,
+built by clearing the subcube each clause falsifies) is convolved with
+itself, or with products of shifted copies of itself; a positive entry
+at difference vector y certifies a solution pair (tuple) realizing y.
+All arithmetic is exact int64: convolution entries are counts and the
+positivity test must not be subject to rounding.  The butterfly runs in
+place on one table or on a stack of tables at once.  It is a ring map
+mod 2^64 whose final entries are at most 2^(2n), so wraparound of
+intermediate values cannot change a result.
+
+Memory is a few int64 tables of 2^n entries (8 * 2^n bytes each) plus,
+in `exact_dispersion`, one chunk of stacked tables; every entry point
+refuses an n above its limit with CapabilityError before allocating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, islice, product
 
 import numpy as np
 
@@ -20,21 +28,30 @@ from .cnf import (
     CapabilityError,
     InfeasibleError,
     UnsatError,
-    evaluate_keys,
+    evaluate_keys,  # unused here; the benchmark tracer rebinds fwht.evaluate_keys
+    solution_indicator,
 )
 from .measures import DispersionObjective, SolutionCollection, popcount
 
 FWHT_LIMIT = 26
 DISPERSION_WORK_LIMIT = 24  # cap on (s-1)*n
+_CHUNK_ENTRIES = 1 << 17  # int64 entries per live table of an offset chunk
+
+
+def _check_size(n, limit, tables):
+    """Refuse n above `limit` before anything is allocated; the message
+    gives the bytes `tables` live int64 tables of 2^n entries would take."""
+    if n > limit:
+        raise CapabilityError(
+            f"n={n} exceeds FWHT limit {limit}: {tables} live int64 "
+            f"table(s) of 2^{n} entries would take {tables * 8 << n} bytes"
+        )
 
 
 def indicator_table(formula, limit=FWHT_LIMIT):
     """DenseTable of the 0/1 solution indicator of `formula`."""
-    n = formula.n
-    if n > limit:
-        raise CapabilityError(f"n={n} exceeds FWHT limit {limit}")
-    keys = np.arange(1 << n, dtype=np.int64)
-    return DenseTable(n, evaluate_keys(formula, keys).astype(np.int64))
+    _check_size(formula.n, limit, 1)
+    return DenseTable(formula.n, solution_indicator(formula).astype(np.int64))
 
 
 @dataclass
@@ -55,49 +72,57 @@ class DenseTable:
 
 
 def _fwht_inplace(v):
+    """Unnormalized transform along the first axis of a C-contiguous
+    int64 array, in place: one table, or tables stacked as columns, so
+    that every level updates contiguous runs of h * columns entries.
+    Each level maps (a, b) to (a + b, a - b)."""
+    size = len(v)
+    columns = v.size // size
+    if columns == 1 and size > 2:
+        # one table, seen as a matrix: transform down its columns (the
+        # high index bits), then down the columns of a transposed copy
+        # (the low bits), so that no level works on short runs
+        matrix = _fwht_inplace(v.reshape(-1, 1 << (size.bit_length() // 2)))
+        matrix[...] = _fwht_inplace(np.ascontiguousarray(matrix.T)).T
+        return v
     h = 1
-    size = v.shape[0]
     while h < size:
-        v = v.reshape(-1, 2, h)
-        a = v[:, 0, :].copy()
-        v[:, 0, :] = a + v[:, 1, :]
-        v[:, 1, :] = a - v[:, 1, :]
-        v = v.reshape(size)
+        pairs = v.reshape(-1, 2, h * columns)
+        a, b = pairs[:, 0], pairs[:, 1]
+        a += b
+        b *= -2
+        b += a
         h *= 2
     return v
 
 
 def fwht(table, limit=FWHT_LIMIT):
     """Walsh-Hadamard transform by the O(n 2^n) butterfly, exact int64."""
-    if table.n > limit:
-        raise CapabilityError(f"n={table.n} exceeds FWHT limit {limit}")
+    _check_size(table.n, limit, 1)
     return DenseTable(table.n, _fwht_inplace(table.values.copy()))
 
 
-def _convolve_against_hat(n, fhat, g_values):
-    """Convolution given one pre-transformed side; two live tables."""
-    gh = _fwht_inplace(g_values.copy())
-    gh *= fhat
-    back = _fwht_inplace(gh)
+def _inverse_counts(n, hat):
+    """Convolution counts from the product of two transforms, in place."""
+    back = _fwht_inplace(hat)
     if (back & ((1 << n) - 1)).any():
         raise AssertionError(
             "convolution not divisible by 2^n: integer arithmetic bug"
         )
-    return back >> n
+    back >>= n
+    return back
 
 
 def convolve(f, g, limit=FWHT_LIMIT):
-    """XOR convolution (f*g)(y) = sum_x f(x) g(x xor y), exact."""
+    """XOR convolution (f*g)(y) = sum_x f(x) g(x xor y), exact.
+
+    With g the same table as f, f is transformed once and squared.
+    """
     if f.n != g.n:
         raise ValueError("tables have different dimensions")
-    fhat = fwht(f, limit).values
-    if g is f:
-        g_values = f.values
-    else:
-        g_values = g.values
-        if g.n > limit:
-            raise CapabilityError(f"n={g.n} exceeds FWHT limit {limit}")
-    return DenseTable(f.n, _convolve_against_hat(f.n, fhat, g_values))
+    hat = fwht(f, limit).values
+    hat *= hat if g is f else fwht(g, limit).values
+    return DenseTable(f.n, _inverse_counts(f.n, hat))
 
 
 def exact_diameter(formula, limit=FWHT_LIMIT):
@@ -107,6 +132,7 @@ def exact_diameter(formula, limit=FWHT_LIMIT):
     difference vector wins, ties going to the lexicographically
     smallest; the witness is the first x with f(x) = f(x xor y) = 1.
     """
+    _check_size(formula.n, limit, 4)
     f = indicator_table(formula, limit)
     if not f.values.any():
         raise UnsatError("formula has no satisfying assignment")
@@ -120,16 +146,44 @@ def exact_diameter(formula, limit=FWHT_LIMIT):
     return Assignment(formula.n, x), Assignment(formula.n, x ^ y)
 
 
-def _pair_stats(diffs, pc):
-    """(constant min, constant sum) over pairs of nonzero-index diffs."""
-    cmin = None
-    csum = 0
-    for i in range(len(diffs)):
-        for j in range(i + 1, len(diffs)):
-            d = int(pc[diffs[i] ^ diffs[j]])
-            csum += d
-            cmin = d if cmin is None else min(cmin, d)
-    return cmin, csum
+def _pair_distances(offsets, pc):
+    """(pairs, rows) array: per row of `offsets`, the distances between
+    the points (0, w_1, ..., w_{s-2}); no pairs when s = 2."""
+    points = [np.zeros(len(offsets), dtype=np.int64), *offsets.T]
+    dists = [pc[a ^ b] for a, b in combinations(points, 2)]
+    return np.array(dists, dtype=np.int64).reshape(-1, len(offsets))
+
+
+def _chunk_values(n, fb, fhat, offsets, objective, idx, pc):
+    """Objective value of the points (0, y, y^w_1, ..., y^w_{s-2}) at
+    [y, t] for every y and every offset tuple t (row t of `offsets`), -1
+    where no solution tuple has those differences."""
+    count = len(offsets)
+    g = np.repeat(fb[:, None], count, axis=1)
+    vals = np.repeat(pc[:, None], count, axis=1)
+    for col in offsets.T:
+        shifted = idx[:, None] ^ col
+        g &= fb[shifted]
+        if objective is DispersionObjective.MIN_PD:
+            np.minimum(vals, pc[shifted], out=vals)
+        else:
+            vals += pc[shifted]
+    hat = _fwht_inplace(g.astype(np.int64))
+    hat *= fhat[:, None]
+    counts = _inverse_counts(n, hat)
+    if (counts < 0).any():
+        raise AssertionError("tuple counts must be nonnegative")
+    certified = counts > 0
+    if objective is DispersionObjective.SUM_PD_DISTINCT:
+        certified[0] = False
+        certified[offsets, np.arange(count)[:, None]] = False
+    pairs = _pair_distances(offsets, pc)
+    if objective is not DispersionObjective.MIN_PD:
+        vals += pairs.sum(axis=0)
+    elif len(pairs):
+        np.minimum(vals, pairs.min(axis=0), out=vals)
+    vals[~certified] = -1
+    return vals
 
 
 def exact_dispersion(formula, s, objective, limit=FWHT_LIMIT):
@@ -138,8 +192,14 @@ def exact_dispersion(formula, s, objective, limit=FWHT_LIMIT):
     For every offset tuple (w_1..w_{s-2}) the product table
     g(x) = f(x) f(x^w_1) ... is convolved with f; a positive entry at y
     certifies solutions with differences (y, y^w_1, ..., y^w_{s-2}).
-    The best objective value over all certified tuples is exact.
-    Space stays at O(2^n): one convolution lives at a time.
+    The best objective value over all certified tuples is exact; the
+    first tuple in lexicographic order, then the first y, wins ties.
+    An offset outside the difference set D = {w : (f*f)(w) > 0} makes
+    g all zero, so only tuples over D are visited.  Their product tables
+    are stacked as the columns of chunks of about _CHUNK_ENTRIES int64
+    entries per live table (one tuple per chunk once 2^n is larger), and
+    each chunk takes one batched forward and inverse transform; space
+    stays at O(2^n + _CHUNK_ENTRIES).
     """
     if s < 2:
         raise ValueError("s must be >= 2")
@@ -148,6 +208,7 @@ def exact_dispersion(formula, s, objective, limit=FWHT_LIMIT):
         raise CapabilityError(
             f"(s-1)*n = {(s - 1) * n} exceeds work limit {DISPERSION_WORK_LIMIT}"
         )
+    _check_size(n, limit, 8)
     f = indicator_table(formula, limit)
     fb = f.values.astype(bool)
     num_solutions = int(f.values.sum())
@@ -163,46 +224,25 @@ def exact_dispersion(formula, s, objective, limit=FWHT_LIMIT):
         )
     idx = np.arange(1 << n)
     pc = popcount(idx)
-    size = 1 << n
     fhat = fwht(f, limit).values
+    # s = 2 has the one empty tuple and needs no difference set
+    diffs = np.flatnonzero(_inverse_counts(n, fhat * fhat)).tolist() if s > 2 else []
+    tuples = product(diffs, repeat=s - 2)
+    if objective is DispersionObjective.SUM_PD_DISTINCT:
+        # offsets must be distinct and nonzero for an all-distinct tuple
+        tuples = (w for w in tuples if 0 not in w and len(set(w)) == s - 2)
+    per_chunk = max(1, _CHUNK_ENTRIES >> n)
     best_value = -1
     best_diffs = None
-    for w_tuple in product(range(size), repeat=s - 2):
-        if objective is DispersionObjective.SUM_PD_DISTINCT:
-            # offsets must be distinct and nonzero for an all-distinct tuple
-            if 0 in w_tuple or len(set(w_tuple)) != len(w_tuple):
-                continue
-        g = f.values.copy()
-        for w in w_tuple:
-            g = g * f.values[idx ^ w]
-        conv_values = _convolve_against_hat(n, fhat, g)
-        if (conv_values < 0).any():
-            raise AssertionError("tuple counts must be nonnegative")
-        mask = conv_values > 0
-        if objective is DispersionObjective.SUM_PD_DISTINCT:
-            mask = mask.copy()
-            mask[0] = False
-            for w in w_tuple:
-                mask[w] = False
-        if not mask.any():
-            continue
-        cmin, csum = _pair_stats((0,) + w_tuple, pc)
-        per_y = pc[idx].copy()
-        for w in w_tuple:
-            per_y = per_y + pc[idx ^ w]
-        if objective is DispersionObjective.MIN_PD:
-            vals = pc[idx].copy()
-            for w in w_tuple:
-                np.minimum(vals, pc[idx ^ w], out=vals)
-            if cmin is not None:
-                np.minimum(vals, cmin, out=vals)
-        else:
-            vals = per_y + csum
-        vals = np.where(mask, vals, -1)
-        y = int(np.argmax(vals))
-        if vals[y] > best_value:
-            best_value = int(vals[y])
-            best_diffs = [0, y] + [y ^ w for w in w_tuple]
+    while chunk := list(islice(tuples, per_chunk)):
+        offsets = np.array(chunk, dtype=np.int64)
+        vals = _chunk_values(n, fb, fhat, offsets, objective, idx, pc)
+        tops = vals.max(axis=0)
+        t = int(np.argmax(tops))
+        if tops[t] > best_value:
+            best_value = int(tops[t])
+            y = int(np.argmax(vals[:, t]))
+            best_diffs = [0, y] + [y ^ int(w) for w in offsets[t]]
     if best_diffs is None:
         raise InfeasibleError("no qualifying tuple of solutions exists")
     ok = fb.copy()

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations, combinations_with_replacement
 
+import numpy as np
 import pytest
 
 from dispersat.brute import (
@@ -17,6 +18,7 @@ from dispersat.cnf import (
     CnfFormula,
     InfeasibleError,
     UnsatError,
+    evaluate_keys,
 )
 from dispersat.measures import (
     DispersionObjective,
@@ -52,6 +54,17 @@ class TestEnumerate:
     def test_unsat(self):
         sols = enumerate_solutions(CnfFormula(1, [(1,), (-1,)]))
         assert len(sols) == 0
+
+    def test_matches_chunked_key_scan(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            n = rng.randint(0, 10)
+            f = random_formula(rng, n, k=rng.randint(1, 4), m=rng.randint(0, 2 * n))
+            keys = np.arange(1 << n, dtype=np.int64)
+            expected = keys[evaluate_keys(f, keys)].tolist()
+            sols = enumerate_solutions(f)
+            assert [z.key for z in sols] == expected
+            assert all(z.n == n for z in sols)
 
     def test_limit_guard(self):
         with pytest.raises(CapabilityError):

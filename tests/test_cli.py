@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from dispersat.cli import probe_speedup, run
+from dispersat.generators import planted_kcnf
 
 
 OR2 = "p cnf 2 1\n1 2 0\n"
@@ -46,6 +48,32 @@ class TestDiameter:
         data = capture(capsys)
         assert code == 0
         assert data["values"]["distance"] >= 1  # half the true diameter 2
+
+
+class TestTooLarge:
+    """A refused instance ends in a TOO_LARGE report, not a traceback."""
+
+    def test_fwht_diameter_above_limit(self, tmp_path, capsys):
+        path = tmp_path / "n27.cnf"
+        path.write_text("p cnf 27 1\n1 2 0\n")
+        code = run(["diameter", "--algo", "fwht", str(path)])
+        data = capture(capsys)
+        assert code == 1
+        assert data["status"] == "TOO_LARGE"
+        assert "n=27 exceeds FWHT limit 26" in data["message"]
+        assert data["assignments"] == []
+
+    def test_ppz_disperse_ball_above_cap(self, tmp_path, capsys):
+        formula, _ = planted_kcnf(40, 3, 160, np.random.default_rng(0))
+        path = tmp_path / "n40.cnf"
+        path.write_text(formula.to_dimacs())
+        code = run(
+            ["disperse", "--s", "3", "--objective", "min", "--algo", "ppz", str(path)]
+        )
+        data = capture(capsys)
+        assert code == 1
+        assert data["status"] == "TOO_LARGE"
+        assert "above the cap" in data["message"]
 
 
 class TestDisperse:

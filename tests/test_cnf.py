@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dispersat.cnf import (
@@ -6,8 +7,10 @@ from dispersat.cnf import (
     ParseError,
     condition,
     evaluate,
+    evaluate_keys,
     parse_dimacs,
     rotate,
+    solution_indicator,
 )
 from dispersat.brute import enumerate_solutions
 
@@ -98,6 +101,46 @@ class TestParse:
     def test_dimacs_roundtrip(self):
         f = parse_dimacs("p cnf 4 3\n1 -3 0\n2 4 0\n-1 0")
         assert parse_dimacs(f.to_dimacs()) == f
+
+
+class TestSolutionIndicator:
+    """The subcube-marked indicator against a per-key scan."""
+
+    @staticmethod
+    def scan(f):
+        return evaluate_keys(f, np.arange(1 << f.n, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            CnfFormula(0, []),
+            CnfFormula(0, [()]),
+            CnfFormula(3, []),
+            CnfFormula(3, [()]),
+            CnfFormula(3, [(1, 2), ()]),
+            CnfFormula(2, [(1,), (-2,)]),
+            CnfFormula(1, [(1,), (-1,)]),
+            CnfFormula(4, [(-1, 2, -3, 4)]),
+        ],
+        ids=repr,
+    )
+    def test_edge_cases(self, f):
+        got = solution_indicator(f)
+        assert got.dtype == bool and got.shape == (1 << f.n,)
+        assert (got == self.scan(f)).all()
+
+    def test_random_formulas(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            clauses = []
+            for _ in range(rng.randint(0, 3 * n)):
+                width = rng.randint(1, min(n, 4))
+                clauses.append(
+                    [rng.choice([-1, 1]) * v for v in rng.sample(range(1, n + 1), width)]
+                )
+            f = CnfFormula(n, clauses)
+            assert (solution_indicator(f) == self.scan(f)).all()
 
 
 class TestEvaluate:

@@ -1,12 +1,22 @@
+import importlib
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
 from dispersat.brute import brute_opt, enumerate_solutions
-from dispersat.cnf import Assignment, CapabilityError, CnfFormula, UnsatError, InfeasibleError
+from dispersat.cnf import (
+    Assignment,
+    CapabilityError,
+    CnfFormula,
+    InfeasibleError,
+    UnsatError,
+    evaluate_keys,
+)
 from dispersat.fwht import (
     DenseTable,
+    _fwht_inplace,
     convolve,
     exact_diameter,
     exact_dispersion,
@@ -18,6 +28,9 @@ from dispersat.measures import (
     min_pairwise_distance,
     sum_pairwise_distance,
 )
+
+# the package re-exports the function `fwht`, which shadows the module
+fwht_module = importlib.import_module("dispersat.fwht")
 
 
 def A(s):
@@ -186,3 +199,174 @@ class TestExactDispersion:
             )
             assert measure(wit) == val
             done += 1
+
+
+def _copying_fwht(v):
+    """The per-level copying butterfly the in-place one replaced."""
+    h = 1
+    size = v.shape[0]
+    while h < size:
+        v = v.reshape(-1, 2, h)
+        a = v[:, 0, :].copy()
+        v[:, 0, :] = a + v[:, 1, :]
+        v[:, 1, :] = a - v[:, 1, :]
+        v = v.reshape(size)
+        h *= 2
+    return v
+
+
+def _pair_stats_loop(diffs, pc):
+    cmin = None
+    csum = 0
+    for i in range(len(diffs)):
+        for j in range(i + 1, len(diffs)):
+            d = int(pc[diffs[i] ^ diffs[j]])
+            csum += d
+            cmin = d if cmin is None else min(cmin, d)
+    return cmin, csum
+
+
+def _per_offset_dispersion(formula, s, objective):
+    """One FWHT round trip per offset tuple over all 2^n offsets: the
+    loop the batched, difference-set-restricted search replaced."""
+    n = formula.n
+    size = 1 << n
+    idx = np.arange(size)
+    f = evaluate_keys(formula, idx).astype(np.int64)
+    fb = f.astype(bool)
+    num_solutions = int(f.sum())
+    if num_solutions == 0:
+        raise UnsatError("no solutions")
+    needs_distinct = objective is not DispersionObjective.SUM_PD
+    if needs_distinct and num_solutions < s:
+        raise InfeasibleError("too few solutions")
+    pc = np.array([bin(i).count("1") for i in range(size)], dtype=np.int64)
+    fhat = _copying_fwht(f.copy())
+    best_value = -1
+    best_diffs = None
+    for w_tuple in product(range(size), repeat=s - 2):
+        if objective is DispersionObjective.SUM_PD_DISTINCT:
+            if 0 in w_tuple or len(set(w_tuple)) != len(w_tuple):
+                continue
+        g = f.copy()
+        for w in w_tuple:
+            g = g * f[idx ^ w]
+        back = _copying_fwht(_copying_fwht(g.copy()) * fhat)
+        assert not (back & (size - 1)).any()
+        mask = (back >> n) > 0
+        if objective is DispersionObjective.SUM_PD_DISTINCT:
+            mask[0] = False
+            for w in w_tuple:
+                mask[w] = False
+        if not mask.any():
+            continue
+        cmin, csum = _pair_stats_loop((0,) + w_tuple, pc)
+        per_y = pc[idx].copy()
+        for w in w_tuple:
+            per_y = per_y + pc[idx ^ w]
+        if objective is DispersionObjective.MIN_PD:
+            vals = pc[idx].copy()
+            for w in w_tuple:
+                np.minimum(vals, pc[idx ^ w], out=vals)
+            if cmin is not None:
+                np.minimum(vals, cmin, out=vals)
+        else:
+            vals = per_y + csum
+        vals = np.where(mask, vals, -1)
+        y = int(np.argmax(vals))
+        if vals[y] > best_value:
+            best_value = int(vals[y])
+            best_diffs = [0, y] + [y ^ w for w in w_tuple]
+    if best_diffs is None:
+        raise InfeasibleError("no qualifying tuple")
+    ok = fb.copy()
+    for d in best_diffs[1:]:
+        ok = ok & fb[idx ^ d]
+    x = int(np.argmax(ok))
+    return sorted((x ^ d) for d in best_diffs)
+
+
+class TestInPlaceButterfly:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
+    def test_columns_match_copying_butterfly(self, n):
+        rng = np.random.default_rng(n)
+        tables = rng.integers(-50, 51, size=(1 << n, 4), dtype=np.int64)
+        batched = _fwht_inplace(tables.copy())
+        for column, out in zip(tables.T, batched.T):
+            assert (_fwht_inplace(column.copy()) == out).all()
+            assert (_copying_fwht(column.copy()) == out).all()
+
+    def test_wrapping_intermediates_match(self):
+        rng = np.random.default_rng(7)
+        info = np.iinfo(np.int64)
+        tables = rng.integers(info.min, info.max, size=(64, 3), dtype=np.int64)
+        tables[:, 0] = info.max
+        tables[:, 1] = info.min
+        batched = _fwht_inplace(tables.copy())
+        for column, out in zip(tables.T, batched.T):
+            assert (_copying_fwht(column.copy()) == out).all()
+            assert (_fwht_inplace(column.copy()) == out).all()
+
+    def test_works_in_place(self):
+        v = np.array([0, 1, 1, 1], dtype=np.int64)
+        assert _fwht_inplace(v) is v
+        assert v.tolist() == [3, -1, -1, -1]
+
+
+def _random_formula_any_width(rng, n):
+    clauses = []
+    for _ in range(rng.randint(0, n + 2)):
+        width = rng.randint(1, min(n, 3)) if n else 0
+        clauses.append(
+            [rng.choice([-1, 1]) * v for v in rng.sample(range(1, n + 1), width)]
+        )
+    return CnfFormula(n, clauses)
+
+
+class TestBatchedDispersion:
+    @pytest.mark.parametrize("objective", list(DispersionObjective))
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_matches_per_offset_loop(self, monkeypatch, objective, s):
+        rng = random.Random(100 * s + len(objective.value))
+        default = fwht_module._CHUNK_ENTRIES
+        for trial in range(10):
+            n = rng.randint(1, 6 if s == 4 else 7)
+            f = _random_formula_any_width(rng, n)
+            try:
+                expected = _per_offset_dispersion(f, s, objective)
+            except (UnsatError, InfeasibleError) as err:
+                with pytest.raises(type(err)):
+                    exact_dispersion(f, s, objective)
+                continue
+            # one tuple per chunk, three per chunk, and the default chunk
+            for entries in (1 << n, 3 << n, default):
+                monkeypatch.setattr(fwht_module, "_CHUNK_ENTRIES", entries)
+                got = exact_dispersion(f, s, objective)
+                assert [z.key for z in got] == expected
+
+
+class TestFailFast:
+    @pytest.fixture
+    def no_tables(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table was allocated before the size check")
+
+        for name in ("ones", "zeros", "empty", "arange"):
+            monkeypatch.setattr(np, name, refuse)
+
+    def test_refused_without_allocating(self, no_tables):
+        big = CnfFormula(27, [(1, 2)])
+        with pytest.raises(CapabilityError):
+            indicator_table(big)
+        with pytest.raises(CapabilityError):
+            exact_diameter(big)
+        with pytest.raises(CapabilityError):
+            exact_dispersion(CnfFormula(25, []), 2, DispersionObjective.MIN_PD)
+        with pytest.raises(CapabilityError):
+            exact_dispersion(CnfFormula(12, []), 2, DispersionObjective.SUM_PD, limit=11)
+        with pytest.raises(CapabilityError):
+            exact_dispersion(CnfFormula(9, []), 4, DispersionObjective.SUM_PD)
+
+    def test_message_gives_bytes(self):
+        with pytest.raises(CapabilityError, match=r"2\^27 entries would take \d+ bytes"):
+            indicator_table(CnfFormula(27, []))
