@@ -9,9 +9,9 @@ answer against plain enumeration.
 from dispersat import (
     CnfFormula,
     convolve,
-    dispersion_measures,
     enumerate_solutions,
     exact_diameter,
+    min_pairwise_distance,
 )
 from dispersat.fwht import indicator_table
 
@@ -41,5 +41,5 @@ print("matches the brute-force diameter:", brute)
 big = CnfFormula(16, [(i, i + 1, -(i + 2)) for i in range(1, 15)])
 z1, z2 = exact_diameter(big)
 print(f"\nn=16 example: diameter {z1.distance(z2)} found over 2^16 table")
-print("pair measures:", dispersion_measures(enumerate_solutions(big)).min_pd,
+print("pair measures:", min_pairwise_distance(enumerate_solutions(big)),
       "= min pairwise distance over the whole space")

@@ -15,7 +15,7 @@ import numpy as np
 from dispersat import (
     OracleConfig,
     enumerate_solutions,
-    ppz_farthest,
+    ppz_farthest_sum,
     ppz_solve,
     tau_exact,
 )
@@ -48,7 +48,7 @@ assert float(tau_far) >= bound
 # repetition turns the mass into an oracle
 cfg = OracleConfig(seed=123)
 z0 = ppz_solve(formula, cfg)
-far_point = ppz_farthest(formula, anchor, cfg)
+far_point = ppz_farthest_sum(formula, [anchor], cfg)
 print(f"\nppz_solve found {z0.to_string()};",
-      f"ppz_farthest from {anchor.to_string()} found {far_point.to_string()}",
+      f"ppz_farthest_sum from {anchor.to_string()} found {far_point.to_string()}",
       f"at distance {anchor.distance(far_point)} (max possible {r})")

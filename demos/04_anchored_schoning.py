@@ -13,16 +13,15 @@ import numpy as np
 
 from dispersat import (
     OracleConfig,
-    budget_math,
     enumerate_solutions,
     growth_base,
     make_plan,
     schoning_farthest_weighted,
-    schoning_solve,
 )
 from dispersat.brute import farthest_min
 from dispersat.cnf import Assignment
 from dispersat.generators import random_kcnf
+from dispersat.schoning import schoning_solve_counted
 
 rng = np.random.default_rng(11)
 formula = random_kcnf(10, 7, 60, rng)
@@ -46,9 +45,10 @@ for label, c in (("walk base k", 7), ("walk base k-1", 6)):
     base = growth_base(c, 1, 0.5)
     print(f"  {label}={c}, alpha=1, delta=1/2  ->  {base:.4f}^n")
 
-summary = budget_math(60, Fraction(1, 2), k=7, variant="v2")
-print(f"\nvariant v2 at n=60, delta=1/2: annulus cap R={summary.R}, "
-      f"total budget ~ {summary.tau:.3e} = {summary.base:.4f}^60-ish")
+plan = make_plan(60, 7, Fraction(1, 2), "v2")
+base = growth_base(plan.c, plan.alpha, plan.delta)
+print(f"\nvariant v2 at n=60, delta=1/2: annulus cap R={plan.R}, "
+      f"total budget ~ {plan.budget():.3e} = {base:.4f}^60-ish")
 
-z = schoning_solve(formula, OracleConfig(seed=6))
+z, _ = schoning_solve_counted(formula, OracleConfig(seed=6))
 print(f"\nplain restarts still solve: {z.to_string()}")

@@ -28,7 +28,7 @@ from dispersat.subsets import (
 
 # a 5-cycle: minimum vertex covers have size 3 and there are 5 of them
 cycle = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-formula, back = reduce_vertex_cover(cycle)
+formula = reduce_vertex_cover(cycle)
 covers = enumerate_solutions(formula)
 print(f"5-cycle: {len(covers)} covers as CNF solutions; "
       f"minimum size {min(z.weight() for z in covers)}")

@@ -24,11 +24,9 @@ from .cnf import (
 )
 from .measures import (
     DispersionObjective,
-    Measures,
     SolutionCollection,
     WeightConstraint,
     WeightKind,
-    dispersion_measures,
     min_pairwise_distance,
     sum_pairwise_distance,
 )
@@ -43,7 +41,6 @@ from .cliques import opt_min_clique, opt_sum_clique, triangle_detect
 from .ppz import (
     OracleConfig,
     PpzSample,
-    ppz_farthest,
     ppz_farthest_min,
     ppz_farthest_sum,
     ppz_modify,
@@ -52,9 +49,6 @@ from .ppz import (
 )
 from .schoning import (
     BudgetPlan,
-    LsVariant,
-    anchored_ls,
-    budget_math,
     entropy,
     growth_base,
     inverse_entropy,
@@ -63,10 +57,7 @@ from .schoning import (
     sample_annulus,
     schoning_farthest_sum,
     schoning_farthest_weighted,
-    schoning_solve,
     schoning_walk,
-    variant_one,
-    variant_two,
 )
 from .dispersion import (
     FarthestOracle,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import statistics
@@ -53,13 +54,12 @@ from .measures import (
     min_pairwise_distance,
     sum_pairwise_distance,
 )
-from .ppz import OracleConfig, ppz_farthest, ppz_solve_counted
+from .ppz import OracleConfig, ppz_farthest_sum, ppz_solve_counted
 from .schoning import (
-    budget_math,
-    get_variant,
+    BudgetPlan,
+    growth_base,
     make_plan,
     schoning_farthest_weighted,
-    schoning_solve,
     schoning_solve_counted,
 )
 from .subsets import (
@@ -142,17 +142,7 @@ def _config(args):
 
 
 def _plan(formula, args):
-    k = max(formula.k, 2)
-    variant = get_variant(k, args.variant)
-    delta = (
-        Fraction(args.delta) if args.delta is not None else variant.delta_max()
-    )
-    if delta > variant.delta_max():
-        raise UsageError(
-            f"delta {delta} exceeds the admissible {variant.delta_max()} "
-            f"for {args.variant} at k={k}"
-        )
-    return make_plan(formula.n, k, delta, args.variant)
+    return make_plan(formula.n, max(formula.k, 2), args.delta, args.variant)
 
 
 def _cmd_enumerate(args, report):
@@ -178,10 +168,10 @@ def _cmd_diameter(args, report):
         if z1 is None:
             report.status = "NOT_FOUND"
             return
-        z2 = ppz_farthest(formula, z1, cfg.spawn(1))
+        z2 = ppz_farthest_sum(formula, [z1], cfg.spawn(1))
         pair = (z1, z2)
     else:  # schoening
-        z1 = schoning_solve(formula, cfg.spawn(0))
+        z1, _ = schoning_solve_counted(formula, cfg.spawn(0))
         if z1 is None:
             report.status = "NOT_FOUND"
             return
@@ -257,11 +247,11 @@ def _cmd_disperse(args, report):
 def _cmd_reduce(args, report):
     text = _read_input(args.file)
     if args.problem == "vc":
-        formula, _ = reduce_vertex_cover(parse_graph(text))
+        formula = reduce_vertex_cover(parse_graph(text))
     elif args.problem == "is":
-        formula, _ = reduce_independent_set(parse_graph(text))
+        formula = reduce_independent_set(parse_graph(text))
     else:
-        formula, _ = reduce_hitting_set(parse_set_family(text))
+        formula = reduce_hitting_set(parse_set_family(text))
     sys.stdout.write(formula.to_dimacs())
     report.values["n"] = formula.n
     report.values["clauses"] = formula.num_clauses
@@ -285,16 +275,16 @@ def _cmd_diverse_min(args, report):
 def _cmd_estimate_runtime(args, report):
     delta = Fraction(args.delta)
     if args.c is not None:
-        summary = budget_math(
-            args.n, delta, c=Fraction(str(args.c)), alpha=Fraction(str(args.alpha))
+        plan = BudgetPlan(
+            args.n, delta, Fraction(str(args.alpha)), Fraction(str(args.c))
         )
     elif args.k is not None:
-        summary = budget_math(args.n, delta, k=args.k, variant=args.variant)
+        plan = make_plan(args.n, args.k, delta, args.variant)
     else:
         raise UsageError("estimate-runtime needs --c or --k")
-    report.values["R"] = summary.R
-    report.values["tau"] = summary.tau
-    report.values["base"] = round(summary.base, 6)
+    report.values["R"] = plan.R
+    report.values["tau"] = plan.budget()
+    report.values["base"] = round(growth_base(plan.c, plan.alpha, plan.delta), 6)
 
 
 def probe_speedup(n, k, m, planted_count, trials, seed, effort=1.0):
@@ -360,7 +350,10 @@ _COMMANDS = {
 }
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built once per process; parsing never
+    modifies it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "text"], default="json")
     common.add_argument("--seed", type=int, default=0)
@@ -430,7 +423,7 @@ def _build_parser():
 
 
 def run(argv):
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -79,10 +79,6 @@ class Assignment:
     def ones(cls, n):
         return cls(n, (1 << n) - 1)
 
-    @classmethod
-    def from_array(cls, arr):
-        return cls.from_bits(bool(b) for b in arr)
-
     def bit(self, variable):
         """Value of 1-based `variable`."""
         return (self.key >> (self.n - variable)) & 1
@@ -179,12 +175,6 @@ class CnfFormula:
     @property
     def num_clauses(self):
         return len(self.clauses)
-
-    def is_trivially_true(self):
-        return not self.clauses
-
-    def is_trivially_false(self):
-        return any(len(c) == 0 for c in self.clauses)
 
     def to_dimacs(self):
         lines = [f"p cnf {self.n} {len(self.clauses)}"]

@@ -28,7 +28,7 @@ from .ppz import ppz_farthest_min, ppz_farthest_sum, ppz_solve
 from .schoning import (
     schoning_farthest_sum,
     schoning_farthest_weighted,
-    schoning_solve,
+    schoning_solve_counted,
 )
 
 MAX_RETRY_FACTOR = 3  # duplicate-rejection retries per insertion: 3 * s
@@ -37,14 +37,10 @@ MAX_RETRY_FACTOR = 3  # duplicate-rejection retries per insertion: 3 * s
 @dataclass
 class FarthestOracle:
     """A farthest-point oracle: flavor 'min' expects a distinct anchor
-    set, flavor 'sum' accepts a multiset.  `quality` is the declared
-    (1 - delta) factor and `failure` the per-call failure bound, when
-    known.  Instances count their calls."""
+    set, flavor 'sum' accepts a multiset.  Instances count their calls."""
 
     flavor: str
     fn: object
-    quality: float | None = None
-    failure: float | None = None
     calls: int = field(default=0)
 
     def __call__(self, formula, anchors, salt=()):
@@ -53,16 +49,13 @@ class FarthestOracle:
 
 
 def exact_min_oracle(limit=None):
-    return FarthestOracle(
-        "min", lambda f, s, salt: farthest_min(f, s, limit), quality=1.0
-    )
+    return FarthestOracle("min", lambda f, s, salt: farthest_min(f, s, limit))
 
 
 def exact_sum_oracle(limit=None, exclude=False):
     return FarthestOracle(
         "sum",
         lambda f, s, salt: farthest_sum(f, s, limit, exclude=exclude),
-        quality=1.0,
     )
 
 
@@ -143,7 +136,7 @@ def ppz_seeder(cfg):
 
 
 def schoning_seeder(cfg):
-    return lambda formula: schoning_solve(formula, cfg.spawn(0))
+    return lambda formula: schoning_solve_counted(formula, cfg.spawn(0))[0]
 
 
 def _checked(formula, members, distinct, verify=None):

@@ -67,9 +67,6 @@ class DenseTable:
         if self.values.shape != (1 << self.n,):
             raise ValueError("values must have length 2^n")
 
-    def copy(self):
-        return DenseTable(self.n, self.values.copy())
-
 
 def _fwht_inplace(v):
     """Unnormalized transform along the first axis of a C-contiguous

@@ -57,7 +57,7 @@ def hadamard_codewords(n):
     while h.shape[0] < n:
         h = np.block([[h, h], [h, -h]])
     bits = (h < 0).astype(np.uint8)
-    return [Assignment.from_array(row.astype(bool)) for row in bits]
+    return [Assignment.from_bits(row.astype(bool)) for row in bits]
 
 
 def separated_planted_instance(n, k, m, count, rng):
@@ -85,7 +85,7 @@ def separated_planted_instance(n, k, m, count, rng):
     for word in chosen:
         padded = np.zeros(n, dtype=bool)
         padded[:p] = word.to_array()
-        shifted = Assignment.from_array(padded) ^ offset
-        planted.append(Assignment.from_array(shifted.to_array()[perm]))
+        shifted = Assignment.from_bits(padded) ^ offset
+        planted.append(Assignment.from_bits(shifted.to_array()[perm]))
     formula, _ = planted_kcnf(n, k, m, rng, planted)
     return formula, planted, p // 2

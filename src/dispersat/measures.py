@@ -84,9 +84,6 @@ class SolutionCollection:
         kind = "set" if self.distinct else "multiset"
         return f"SolutionCollection({kind}:[{inner}])"
 
-    def sorted(self):
-        return SolutionCollection(sorted(self.members), distinct=self.distinct)
-
 
 def popcount(keys):
     """Set bits of each nonnegative integer key, as int64."""
@@ -133,33 +130,6 @@ def sum_pairwise_distance(collection):
     )
 
 
-def min_distance_to(collection, x):
-    return min(z.distance(x) for z in collection.members)
-
-
 def sum_distance_to(collection, x):
     return sum(z.distance(x) for z in collection.members)
 
-
-@dataclass(frozen=True)
-class Measures:
-    min_pd: int
-    sum_pd: int
-    min_to: int | None = None
-    sum_to: int | None = None
-
-
-def dispersion_measures(collection, x=None):
-    """minPD and sumPD of a collection, plus min/sum distance to `x` if given."""
-    if not collection.members:
-        raise ValueError("measures of an empty collection")
-    min_to = sum_to = None
-    if x is not None:
-        min_to = min_distance_to(collection, x)
-        sum_to = sum_distance_to(collection, x)
-    return Measures(
-        min_pd=min_pairwise_distance(collection),
-        sum_pd=sum_pairwise_distance(collection),
-        min_to=min_to,
-        sum_to=sum_to,
-    )

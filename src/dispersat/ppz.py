@@ -263,13 +263,6 @@ def _farthest(n, keys, anchor_keys, reduce):
     return Assignment(n, int(keys[farthest_index(keys, anchor_keys, reduce)]))
 
 
-def ppz_farthest(formula, z, cfg=OracleConfig()):
-    """Satisfying output (approximately) farthest from `z`."""
-    if z.n != formula.n:
-        raise ValueError("anchor length mismatch")
-    return ppz_farthest_sum(formula, [z], cfg)
-
-
 def ppz_farthest_sum(formula, anchors, cfg=OracleConfig(), exclude=False):
     """Satisfying output maximizing the distance sum to `anchors`;
     exclude=True discards outputs equal to an anchor (distinct variant)."""

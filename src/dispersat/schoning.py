@@ -45,56 +45,56 @@ def inverse_entropy(y, tol=1e-12):
     return (lo + hi) / 2
 
 
-@dataclass(frozen=True)
-class LsVariant:
-    """A parameterized local search: walks of stretched length, repeated
-    ceil(c^t) times, finding a solution within ceil(alpha t) of the start."""
-
-    name: str
-    alpha: Fraction
-    c: int
-
-    def walk_stretch(self, t):
-        return math.ceil(self.alpha * t)
-
-    def repetitions(self, t):
-        return self.c**t
-
-    def delta_max(self):
-        return min(Fraction(1), Fraction(2) * (1 + self.alpha) / (self.c - 1))
+def delta_max(c, alpha):
+    """Largest admissible delta of a search whose walks of ceil(alpha t)
+    flips are repeated ceil(c^t) times."""
+    c, alpha = Fraction(c), Fraction(alpha)
+    if c <= 1:
+        raise ValueError("c must exceed 1")
+    return min(Fraction(1), 2 * (1 + alpha) / (c - 1))
 
 
-def variant_one(k):
-    if k < 2:
-        raise ValueError("variant v1 needs k >= 2")
-    return LsVariant("v1", Fraction(1), k)
-
-
-def variant_two(k):
-    if k < 3:
-        raise ValueError("variant v2 needs k >= 3")
-    return LsVariant("v2", 1 + Fraction(2, k - 2), k - 1)
-
-
-def get_variant(k, name):
-    if name == "v1":
-        return variant_one(k)
-    if name == "v2":
-        return variant_two(k)
-    raise ValueError(f"unknown variant {name!r}")
+def _check_delta(delta, c, alpha):
+    bound = delta_max(c, alpha)
+    if not 0 < delta <= bound:
+        raise ValueError(
+            f"delta {delta} must lie in (0, {bound}] for alpha={alpha}, c={c}"
+        )
 
 
 @dataclass(frozen=True)
 class BudgetPlan:
-    """delta, the capped annulus radius R, and the per-radius repetition
-    rule for an anchored search with parameters (alpha, c)."""
+    """An anchored search over n variables with distance loss delta, whose
+    walks of ceil(alpha t) flips are repeated ceil(c^t) times: the capped
+    annulus radius R, the per-radius repetition rule and the total budget.
+    delta, alpha and c are kept as exact fractions."""
 
     n: int
     delta: Fraction
     alpha: Fraction
     c: Fraction
-    R: int
-    variant: LsVariant | None = None
+
+    def __post_init__(self):
+        for name in ("delta", "alpha", "c"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        _check_delta(self.delta, self.c, self.alpha)
+
+    @property
+    def R(self):
+        return int(self.delta * self.n / (2 * (1 + self.alpha + self.delta)))
+
+    def walk_length(self, t):
+        return math.ceil(self.alpha * t)
+
+    def walks(self, t):
+        """ceil(c^t), computed in integers because local_search asks for
+        it on every anchored task."""
+        return -(-self.c.numerator**t // self.c.denominator**t)
+
+    def budget(self):
+        """tau = 2^n c^R / C(n, R)."""
+        R = self.R
+        return (2**self.n) * float(self.c**R) / math.comb(self.n, R)
 
     def walk_radius(self, r):
         return min(int(self.delta * r / (1 + self.alpha)), self.R)
@@ -111,73 +111,32 @@ class BudgetPlan:
         return max(1, math.ceil(effort * need))
 
 
-def _plan_radius(n, delta, alpha):
-    return int(delta * n / (2 * (1 + alpha + delta)))
+_VARIANT_MIN_K = {"v1": 2, "v2": 3}
 
 
-def make_plan(n, k, delta, variant="v1"):
-    """Budget plan for the CNF local-search variant `variant` of width k."""
-    var = get_variant(k, variant)
-    delta = Fraction(delta)
-    if not 0 < delta <= var.delta_max():
+def make_plan(n, k, delta=None, variant="v1"):
+    """Plan of the CNF local search `variant` at clause width k: v1 walks
+    t flips k^t times, v2 walks ceil((1 + 2/(k-2)) t) flips (k-1)^t
+    times.  delta defaults to the largest admissible value."""
+    if variant not in _VARIANT_MIN_K:
+        raise ValueError(f"unknown variant {variant!r}")
+    if k < _VARIANT_MIN_K[variant]:
         raise ValueError(
-            f"delta must lie in (0, {var.delta_max()}] for {variant} at k={k}"
+            f"variant {variant} needs k >= {_VARIANT_MIN_K[variant]}, got k={k}"
         )
-    return BudgetPlan(
-        n=n,
-        delta=delta,
-        alpha=var.alpha,
-        c=Fraction(var.c),
-        R=_plan_radius(n, delta, var.alpha),
-        variant=var,
-    )
-
-
-def make_generic_plan(n, c, delta, alpha=Fraction(1)):
-    """Budget plan for any (alpha, c) feasibility search (subset problems)."""
-    delta, alpha, c = Fraction(delta), Fraction(alpha), Fraction(c)
-    if c <= 1:
-        raise ValueError("c must exceed 1")
-    dmax = min(Fraction(1), 2 * (1 + alpha) / (c - 1))
-    if not 0 < delta <= dmax:
-        raise ValueError(f"delta must lie in (0, {dmax}]")
-    return BudgetPlan(
-        n=n, delta=delta, alpha=alpha, c=c, R=_plan_radius(n, delta, alpha)
-    )
-
-
-@dataclass(frozen=True)
-class BudgetSummary:
-    R: int
-    tau: float
-    base: float
+    if variant == "v1":
+        alpha, c = Fraction(1), k
+    else:
+        alpha, c = 1 + Fraction(2, k - 2), k - 1
+    return BudgetPlan(n, delta_max(c, alpha) if delta is None else delta, alpha, c)
 
 
 def growth_base(c, alpha, delta):
     """Per-variable growth base 2 c^rho / 2^H(rho) of the anchored search."""
+    _check_delta(delta, c, alpha)
     c, alpha, delta = float(c), float(alpha), float(delta)
-    if c <= 1:
-        raise ValueError("c must exceed 1")
-    if not 0 < delta <= min(1.0, 2 * (1 + alpha) / (c - 1)):
-        raise ValueError("delta out of admissible range")
     rho = delta / (2 * (1 + alpha + delta))
     return 2 * c**rho / 2 ** entropy(rho)
-
-
-def budget_math(n, delta, c=None, alpha=1, k=None, variant=None):
-    """R, the total budget tau = 2^n c^R / C(n, R), and the growth base.
-
-    Pass (k, variant) to use a built-in CNF variant, or (c, alpha)
-    directly for a generic search.
-    """
-    if variant is not None:
-        var = get_variant(k, variant)
-        c, alpha = var.c, var.alpha
-    if c is None:
-        raise ValueError("either c or (k, variant) is required")
-    plan = make_generic_plan(n, c, delta, alpha)
-    tau = (2**n) * float(Fraction(plan.c) ** plan.R) / math.comb(n, plan.R)
-    return BudgetSummary(R=plan.R, tau=tau, base=growth_base(c, alpha, delta))
 
 
 def schoning_walk(formula, z, steps, rng):
@@ -187,12 +146,12 @@ def schoning_walk(formula, z, steps, rng):
         raise ValueError("steps must be >= 0")
     bits = z.to_array()
     if formula.num_clauses == 0:
-        return Assignment.from_array(bits)
+        return Assignment.from_bits(bits)
     cvars, cneg, valid = formula.clause_arrays()
     for flips_done in range(steps + 1):
         sat = ((bits[cvars] ^ cneg) & valid).any(axis=1)
         if sat.all():
-            return Assignment.from_array(bits)
+            return Assignment.from_bits(bits)
         if flips_done == steps:
             return None
         clause = formula.clauses[int(np.argmax(~sat))]
@@ -203,13 +162,13 @@ def schoning_walk(formula, z, steps, rng):
     return None
 
 
-def local_search(formula, y, t, variant, rng):
-    """ceil(c^t) walks of the stretched length from y; any returned
-    assignment lies within walk_stretch(t) <= ceil(alpha t) flips of y."""
+def local_search(formula, y, t, plan, rng):
+    """plan.walks(t) walks of plan.walk_length(t) flips from y; any
+    returned assignment lies within ceil(alpha t) flips of y."""
     if t > formula.n:
         raise ValueError("t must not exceed n")
-    length = variant.walk_stretch(t)
-    for _ in range(variant.repetitions(t)):
+    length = plan.walk_length(t)
+    for _ in range(plan.walks(t)):
         out = schoning_walk(formula, y, length, rng)
         if out is not None:
             if y.distance(out) > length:
@@ -243,17 +202,6 @@ def sample_annulus(z, lo, hi, rng):
     return out
 
 
-def anchored_ls(formula, z, r, plan, rng):
-    """One anchored attempt: start in the annulus of radii r -+ t around
-    the anchor and run the capped local search, so a satisfying return
-    near a promised solution keeps distance about (1 - delta) r from z."""
-    if not 0 <= r <= formula.n:
-        raise ValueError("r out of range")
-    t = plan.walk_radius(r)
-    y = sample_annulus(z, max(r - t, 0), r + t, rng)
-    return local_search(formula, y, t, plan.variant, rng)
-
-
 def _anchored_argmax(plan, cfg, starts, r_values, search, anchor_keys, reduce, accepts):
     """Shared (r, start anchor, repetition) loop; every repetition is its
     own seeded task so the result is independent of evaluation order.
@@ -276,12 +224,6 @@ def _anchored_argmax(plan, cfg, starts, r_values, search, anchor_keys, reduce, a
     if not found:
         return None
     return found[farthest_index([z.key for z in found], anchor_keys, reduce)]
-
-
-def _weight_window(n, w, delta):
-    if w == 0:
-        return 0, n
-    return (1 - delta) * w, (1 + delta) * w
 
 
 def anchored_farthest_min(anchors, plan, cfg, search, lo_w, hi_w):
@@ -313,12 +255,15 @@ def schoning_farthest_weighted(formula, anchors, w, plan, cfg):
     n = formula.n
     if not 0 <= w <= n:
         raise ValueError("W must lie in 0..n")
-    lo_w, hi_w = _weight_window(n, w, plan.delta)
+    if w == 0:
+        lo_w, hi_w = 0, n
+    else:
+        lo_w, hi_w = (1 - plan.delta) * w, (1 + plan.delta) * w
     return anchored_farthest_min(
         anchors,
         plan,
         cfg,
-        lambda y, t, rng: local_search(formula, y, t, plan.variant, rng),
+        lambda y, t, rng: local_search(formula, y, t, plan, rng),
         lo_w,
         hi_w,
     )
@@ -334,17 +279,11 @@ def schoning_farthest_sum(formula, anchors, plan, cfg):
         cfg,
         anchors,
         range(0, formula.n + 1),
-        lambda y, t, rng: local_search(formula, y, t, plan.variant, rng),
+        lambda y, t, rng: local_search(formula, y, t, plan, rng),
         [a.key for a in anchors],
         np.sum,
         lambda z: True,
     )
-
-
-def schoning_solve(formula, cfg):
-    """Classic randomized solving: uniform restarts, 3n-step walks."""
-    z, _ = schoning_solve_counted(formula, cfg)
-    return z
 
 
 def schoning_solve_counted(formula, cfg):

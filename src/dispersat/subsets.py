@@ -22,7 +22,7 @@ from .cnf import (
     UnsatError,
 )
 from .dispersion import FarthestOracle, gonzalez_min
-from .schoning import anchored_farthest_min, make_generic_plan
+from .schoning import BudgetPlan, anchored_farthest_min
 
 
 @dataclass(frozen=True)
@@ -109,27 +109,23 @@ def parse_set_family(text):
     return SetFamily.from_lists(top, sets)
 
 
-def _identity_backmap(assignment):
-    return assignment
-
-
 def reduce_vertex_cover(graph):
     """2-CNF whose solutions are exactly the vertex covers, with identical
     weights and pairwise distances (an isometric reduction)."""
     clauses = [(u, v) for u, v in graph.edges]
-    return CnfFormula(graph.num_vertices, clauses), _identity_backmap
+    return CnfFormula(graph.num_vertices, clauses)
 
 
 def reduce_independent_set(graph):
     """2-CNF whose solutions are exactly the independent sets."""
     clauses = [(-u, -v) for u, v in graph.edges]
-    return CnfFormula(graph.num_vertices, clauses), _identity_backmap
+    return CnfFormula(graph.num_vertices, clauses)
 
 
 def reduce_hitting_set(family):
     """d-CNF whose solutions are exactly the hitting sets of the family."""
     clauses = [tuple(sorted(s)) for s in family.sets]
-    return CnfFormula(family.n, clauses), _identity_backmap
+    return CnfFormula(family.n, clauses)
 
 
 @dataclass(frozen=True)
@@ -235,7 +231,7 @@ def diverse_min(system, s, delta, cfg):
     plfs = plfs_from_monotone(system)
     opt, witness = minimum_feasible_weight(system)
     delta = Fraction(delta)
-    plan = make_generic_plan(n, system.c, delta)
+    plan = BudgetPlan(n, delta, 1, system.c)
     lo_w, hi_w = (1 - delta) * opt, (1 + delta) * opt
 
     def search(y, t, rng):
@@ -264,9 +260,3 @@ def diverse_min(system, s, delta, cfg):
         ) from err
     return out
 
-
-def diverse_min_sets(system, s, delta, cfg):
-    """diverse_min, returned as frozensets instead of bit vectors."""
-    return [
-        _assignment_to_set(z) for z in diverse_min(system, s, delta, cfg).members
-    ]

@@ -428,13 +428,13 @@ def test_c12_isometry_suite():
         hitting = [
             a for a in _all_subsets(n) if all(s & a for s in family.sets)
         ]
-        for (formula, back), expected in (
+        for formula, expected in (
             (reduce_vertex_cover(graph), covers),
             (reduce_independent_set(graph), independent),
             (reduce_hitting_set(family), hitting),
         ):
             solutions = enumerate_solutions(formula).members
-            mapped = [_assignment_to_set(back(z)) for z in solutions]
+            mapped = [_assignment_to_set(z) for z in solutions]
             assert sorted(mapped, key=sorted) == sorted(expected, key=sorted)
             assert [len(m) for m in mapped] == [z.weight() for z in solutions]
             for i in range(len(solutions)):

@@ -8,6 +8,7 @@ from dispersat.generators import planted_kcnf
 
 
 OR2 = "p cnf 2 1\n1 2 0\n"
+WIDE7 = "p cnf 7 1\n1 2 3 4 5 6 7 0\n"
 UNSAT = "p cnf 1 2\n1 0\n-1 0\n"
 TRIPLE = "p cnf 3 1\n1 2 3 0\n"
 
@@ -142,6 +143,33 @@ class TestDisperse:
         assert code == 2
 
 
+class TestDeltaRule:
+    """--delta and --variant are checked by the plan's one admissibility rule."""
+
+    @pytest.mark.parametrize(
+        "delta, code", [("2/3", 0), ("2003/3000", 2), ("0", 2), ("-1/2", 2)]
+    )
+    def test_bound_at_k7(self, tmp_path, capsys, delta, code):
+        path = tmp_path / "wide7.cnf"
+        path.write_text(WIDE7)
+        argv = ["disperse", "--s", "2", "--algo", "schoening", f"--delta={delta}"]
+        assert run(argv + [str(path)]) == code
+        if code == 2:
+            assert "must lie in (0, 2/3]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", ["5", "0"])
+    def test_schoening_delta_rejected(self, or2, capsys, delta):
+        argv = ["disperse", "--s", "2", "--algo", "schoening", "--delta", delta]
+        assert run(argv + [or2]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"delta {delta} must lie in (0, 1]" in captured.err
+
+    def test_variant_needs_width(self, or2, capsys):
+        assert run(["diameter", "--algo", "schoening", "--variant", "v2", or2]) == 2
+        assert "variant v2 needs k >= 3, got k=2" in capsys.readouterr().err
+
+
 class TestEnumerateReduce:
     def test_enumerate(self, or2, capsys):
         code = run(["enumerate", or2])
@@ -241,6 +269,20 @@ class TestDeterminism:
         first.pop("wall_time_ms")
         second.pop("wall_time_ms")
         assert first == second
+
+    def test_parser_reused_across_calls(self, or2, capsys):
+        argv = ["disperse", "--s", "2", "--algo", "ppz", "--seed", "11", or2]
+        assert run(argv) == 0
+        first = capture(capsys)
+        assert run(["disperse", "--algo", "ppz", or2]) == 2  # --s is required
+        capsys.readouterr()
+        assert run(["enumerate", or2]) == 0
+        assert capture(capsys)["assignments"] == ["01", "10", "11"]
+        assert run(argv) == 0
+        last = capture(capsys)
+        first.pop("wall_time_ms")
+        last.pop("wall_time_ms")
+        assert first == last
 
     def test_text_format(self, or2, capsys):
         code = run(["diameter", "--format", "text", or2])

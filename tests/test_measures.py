@@ -10,10 +10,10 @@ from dispersat.measures import (
     WeightConstraint,
     WeightKind,
     best_index,
-    dispersion_measures,
     farthest_index,
     min_pairwise_distance,
     popcount,
+    sum_distance_to,
     sum_pairwise_distance,
 )
 
@@ -27,15 +27,13 @@ def coll(*strings, distinct=True):
 
 
 def test_min_and_sum_pd():
-    m = dispersion_measures(coll("01", "10", "11"))
-    assert m.min_pd == 1
-    assert m.sum_pd == 4
+    c = coll("01", "10", "11")
+    assert min_pairwise_distance(c) == 1
+    assert sum_pairwise_distance(c) == 4
 
 
 def test_distances_to_point():
-    m = dispersion_measures(coll("01", "10"), A("11"))
-    assert m.min_to == 1
-    assert m.sum_to == 2
+    assert sum_distance_to(coll("01", "10"), A("11")) == 2
 
 
 def test_multiset_duplicate_gives_zero():
@@ -47,8 +45,11 @@ def test_singleton_sentinel():
 
 
 def test_empty_rejected():
+    empty = SolutionCollection([], distinct=True)
     with pytest.raises(ValueError):
-        dispersion_measures(SolutionCollection([], distinct=True))
+        min_pairwise_distance(empty)
+    with pytest.raises(ValueError):
+        sum_pairwise_distance(empty)
 
 
 def test_distinct_flag_enforced():

@@ -16,7 +16,6 @@ from dispersat.ppz import (
     _batches,
     _engine,
     ball_radius,
-    ppz_farthest,
     ppz_farthest_min,
     ppz_farthest_sum,
     ppz_modify,
@@ -272,12 +271,12 @@ class TestSolve:
 class TestFarthest:
     def test_farthest_from_all_ones(self):
         f = CnfFormula(3, [(1, 2, 3)])
-        z = ppz_farthest(f, A("111"), OracleConfig(seed=2))
+        z = ppz_farthest_sum(f, [A("111")], OracleConfig(seed=2))
         assert z is not None and A("111").distance(z) == 2
 
     def test_unique_solution_returned_regardless_of_anchor(self):
         f = CnfFormula(2, [(1,), (-2,)])
-        assert ppz_farthest(f, A("10"), OracleConfig(seed=4)) == A("10")
+        assert ppz_farthest_sum(f, [A("10")], OracleConfig(seed=4)) == A("10")
 
     def test_farthest_sum(self):
         f = CnfFormula(2, [(1, 2)])
@@ -296,10 +295,10 @@ class TestFarthest:
         f = random_formula(rng, 6)
         anchor = Assignment(6, 13)
         cfg = OracleConfig(seed=7)
-        z_far = ppz_farthest(f, anchor, cfg)
-        z_sum = ppz_farthest_sum(f, [anchor], cfg)
-        if z_far is not None:
-            assert anchor.distance(z_far) == anchor.distance(z_sum)
+        # doubling the anchor doubles every score, so the argmax stays
+        z_far = ppz_farthest_sum(f, [anchor], cfg)
+        z_sum = ppz_farthest_sum(f, [anchor, anchor], cfg)
+        assert z_far == z_sum
 
     def test_farthest_min(self):
         f = CnfFormula(2, [(1, 2)])
@@ -335,7 +334,7 @@ class TestFarthest:
             cfg = OracleConfig(seed=rng.randrange(2**32), effort=0.2)
             anchors = [Assignment(7, rng.randrange(128)) for _ in range(2)]
             for z in (
-                ppz_farthest(f, anchors[0], cfg),
+                ppz_farthest_sum(f, anchors[:1], cfg),
                 ppz_farthest_sum(f, anchors, cfg),
                 ppz_farthest_min(f, anchors, cfg),
             ):

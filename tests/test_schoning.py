@@ -10,10 +10,9 @@ from dispersat.cnf import Assignment, CnfFormula, evaluate
 from dispersat import ppz, schoning
 from dispersat.ppz import OracleConfig
 from dispersat.schoning import (
-    anchored_ls,
-    budget_math,
+    BudgetPlan,
+    delta_max,
     entropy,
-    get_variant,
     growth_base,
     inverse_entropy,
     local_search,
@@ -21,11 +20,8 @@ from dispersat.schoning import (
     sample_annulus,
     schoning_farthest_sum,
     schoning_farthest_weighted,
-    schoning_solve,
     schoning_solve_counted,
     schoning_walk,
-    variant_one,
-    variant_two,
 )
 
 
@@ -66,34 +62,34 @@ class TestEntropy:
 
 class TestVariants:
     def test_variant_one(self):
-        v = variant_one(3)
-        assert (v.alpha, v.c) == (1, 3)
-        assert v.walk_stretch(4) == 4
-        assert v.repetitions(2) == 9
+        p = make_plan(10, 3)
+        assert (p.alpha, p.c) == (1, 3)
+        assert p.walk_length(4) == 4
+        assert p.walks(2) == 9
 
     def test_variant_two_k3_reproduces_3t(self):
-        v = variant_two(3)
-        assert (v.alpha, v.c) == (3, 2)
-        assert v.walk_stretch(2) == 6
+        p = make_plan(10, 3, variant="v2")
+        assert (p.alpha, p.c) == (3, 2)
+        assert p.walk_length(2) == 6
 
     def test_variant_two_general(self):
-        v = variant_two(5)
-        assert v.alpha == Fraction(5, 3)
-        assert v.walk_stretch(3) == 5
-        assert v.c == 4
+        p = make_plan(10, 5, variant="v2")
+        assert p.alpha == Fraction(5, 3)
+        assert p.walk_length(3) == 5
+        assert p.c == 4
 
     def test_delta_max(self):
-        assert variant_one(7).delta_max() == Fraction(2, 3)
+        assert make_plan(10, 7).delta == delta_max(7, 1) == Fraction(2, 3)
         # matches (4/(k-1)) (1 + 1/(k-2))^2 for the second variant
         k = 7
         expected = Fraction(4, k - 1) * (1 + Fraction(1, k - 2)) ** 2
-        assert variant_two(k).delta_max() == min(Fraction(1), expected)
+        assert make_plan(10, k, variant="v2").delta == min(Fraction(1), expected)
 
     def test_variant_requirements(self):
-        with pytest.raises(ValueError):
-            variant_two(2)
-        with pytest.raises(ValueError):
-            get_variant(3, "v9")
+        with pytest.raises(ValueError, match="v2 needs k >= 3, got k=2"):
+            make_plan(10, 2, variant="v2")
+        with pytest.raises(ValueError, match="unknown variant"):
+            make_plan(10, 3, variant="v9")
 
 
 class TestBudgetMath:
@@ -106,9 +102,7 @@ class TestBudgetMath:
     def test_radius_formula(self):
         plan = make_plan(16, 3, Fraction(1, 2), "v1")
         assert plan.R == int(Fraction(1, 2) * 16 / (2 * (2 + Fraction(1, 2))))
-        summary = budget_math(16, Fraction(1, 2), k=3, variant="v1")
-        assert summary.R == plan.R
-        assert summary.tau == pytest.approx(
+        assert plan.budget() == pytest.approx(
             2**16 * 3**plan.R / math.comb(16, plan.R)
         )
 
@@ -127,6 +121,116 @@ class TestBudgetMath:
             ]
             argmin = values.index(min(values))
             assert abs(argmin - n // (c + 1)) <= 1
+
+
+def _old_plan(n, alpha, c, delta):
+    """The budget formulas of the separate variant, plan and summary
+    objects that BudgetPlan replaced, kept as the reference."""
+    alpha, c, delta = Fraction(alpha), Fraction(c), Fraction(delta)
+    R = int(delta * n / (2 * (1 + alpha + delta)))
+
+    def walk_radius(r):
+        return min(int(delta * r / (1 + alpha)), R)
+
+    def per_r_repetitions(r, effort):
+        t = walk_radius(r)
+        size = sum(
+            math.comb(n, x) for x in range(max(r - t, 0), min(r + t, n) + 1)
+        )
+        return max(1, math.ceil(effort * Fraction(size, math.comb(n, t))))
+
+    return {
+        "R": R,
+        "walk_radius": walk_radius,
+        "per_r_repetitions": per_r_repetitions,
+        "walk_length": lambda t: math.ceil(alpha * t),
+        "walks": lambda t: int(c) ** t,
+        "tau": (2**n) * float(Fraction(c) ** R) / math.comb(n, R),
+    }
+
+
+def _old_variant(k, name):
+    """(alpha, c) of the two CNF variants, as the old variant objects held them."""
+    return (Fraction(1), k) if name == "v1" else (1 + Fraction(2, k - 2), k - 1)
+
+
+def _old_delta_max(alpha, c):
+    return min(Fraction(1), Fraction(2) * (1 + alpha) / (c - 1))
+
+
+class TestPlanIdentity:
+    def _assert_same(self, plan, old):
+        n = plan.n
+        assert plan.R == old["R"]
+        for r in range(n + 1):
+            assert plan.walk_radius(r) == old["walk_radius"](r)
+            for effort in (1.0, 0.3):
+                assert plan.per_r_repetitions(r, effort) == old[
+                    "per_r_repetitions"
+                ](r, effort)
+        for t in range(plan.R + 1):
+            assert plan.walk_length(t) == old["walk_length"](t)
+            assert plan.walks(t) == old["walks"](t)
+        assert plan.budget() == old["tau"]
+
+    def test_cnf_variants(self):
+        for n in range(1, 41):
+            for k in range(2, 9):
+                for variant in ("v1", "v2") if k >= 3 else ("v1",):
+                    alpha, c = _old_variant(k, variant)
+                    dmax = _old_delta_max(alpha, c)
+                    for delta in (None, Fraction(1, 2), Fraction(1, 3)):
+                        if delta is not None and delta > dmax:
+                            continue
+                        plan = make_plan(n, k, delta, variant)
+                        used = dmax if delta is None else delta
+                        assert (plan.delta, plan.alpha, plan.c) == (used, alpha, c)
+                        self._assert_same(plan, _old_plan(n, alpha, c, used))
+
+    def test_generic_search(self):
+        # the subset searches: alpha = 1, integer branching base c
+        for n in range(1, 41):
+            for c in (2, 3, 5):
+                for delta in (Fraction(1, 2), Fraction(1, 5), Fraction(1)):
+                    plan = BudgetPlan(n, delta, 1, c)
+                    self._assert_same(plan, _old_plan(n, 1, c, delta))
+
+
+    def test_walks_round_up_a_fractional_base(self):
+        for c in (Fraction(7, 2), Fraction(5, 3), Fraction(3592, 1000)):
+            plan = BudgetPlan(30, Fraction(1, 10), 1, c)
+            assert [plan.walks(t) for t in range(30)] == [
+                math.ceil(c**t) for t in range(30)
+            ]
+
+
+class TestDeltaRule:
+    def test_one_bound_everywhere(self):
+        for k in range(2, 9):
+            for variant in ("v1", "v2") if k >= 3 else ("v1",):
+                alpha, c = _old_variant(k, variant)
+                dmax = delta_max(c, alpha)
+                assert dmax == _old_delta_max(alpha, c)
+                assert make_plan(12, k, None, variant).delta == dmax
+                assert make_plan(12, k, dmax, variant).delta == dmax
+                assert BudgetPlan(12, dmax, alpha, c).delta == dmax
+                assert growth_base(c, alpha, dmax) > 1
+                for bad in (Fraction(0), Fraction(-1, 2), dmax + Fraction(1, 1000)):
+                    with pytest.raises(ValueError, match="must lie in"):
+                        make_plan(12, k, bad, variant)
+                    with pytest.raises(ValueError, match="must lie in"):
+                        BudgetPlan(12, bad, alpha, c)
+                    with pytest.raises(ValueError, match="must lie in"):
+                        growth_base(c, alpha, bad)
+
+    def test_c_at_most_one_rejected(self):
+        for c in (1, Fraction(1, 2)):
+            with pytest.raises(ValueError, match="c must exceed 1"):
+                delta_max(c, 1)
+            with pytest.raises(ValueError, match="c must exceed 1"):
+                BudgetPlan(10, Fraction(1, 2), 1, c)
+            with pytest.raises(ValueError, match="c must exceed 1"):
+                growth_base(c, 1, 0.5)
 
 
 class TestWalk:
@@ -168,7 +272,7 @@ class TestLocalSearch:
     def test_t_zero_satisfying_start(self):
         f = CnfFormula(3, [(1, 2, 3)])
         y = A("100")
-        assert local_search(f, y, 0, variant_one(3), rng_for(3)) == y
+        assert local_search(f, y, 0, make_plan(3, 3), rng_for(3)) == y
 
     def test_radius_cap_always_respected(self):
         rng = random.Random(41)
@@ -176,17 +280,17 @@ class TestLocalSearch:
             f = random_formula(rng, 7)
             y = Assignment(7, rng.randrange(128))
             t = rng.randint(0, 3)
-            variant = variant_one(max(f.k, 2))
-            out = local_search(f, y, t, variant, rng_for(rng.randrange(2**32)))
+            plan = make_plan(7, max(f.k, 2))
+            out = local_search(f, y, t, plan, rng_for(rng.randrange(2**32)))
             if out is not None:
-                assert y.distance(out) <= variant.walk_stretch(t)
+                assert y.distance(out) <= plan.walk_length(t)
 
     def test_finds_nearby_solution_with_good_probability(self):
         # one solution at distance 2 from y; 1 - 1/e bound, generous margin
         f = CnfFormula(4, [(1,), (2,), (3,), (4,)])
         y = A("0011")
         hits = sum(
-            local_search(f, y, 2, variant_one(4), rng_for(11, i)) is not None
+            local_search(f, y, 2, make_plan(4, 4), rng_for(11, i)) is not None
             for i in range(300)
         )
         assert hits / 300 >= 1 - 1 / math.e - 0.15
@@ -238,22 +342,6 @@ class TestAnnulus:
             chi2 += (counts[r] - expected) ** 2 / expected
         # 5 degrees of freedom; 20.5 is the 0.1% tail, a fixed seeded gate
         assert chi2 < 20.5
-
-
-class TestAnchored:
-    def test_r_zero_degenerate(self):
-        f = CnfFormula(3, [(1, 2, 3)])
-        plan = make_plan(3, 3, Fraction(1, 2), "v1")
-        sat = A("010")
-        assert anchored_ls(f, sat, 0, plan, rng_for(10)) == sat
-        assert anchored_ls(f, A("000"), 0, plan, rng_for(10)) is None
-
-    def test_delta_one_smoke(self):
-        f = CnfFormula(2, [(1, 2)])
-        plan = make_plan(2, 2, Fraction(1), "v1")
-        out = anchored_ls(f, A("11"), 1, plan, rng_for(12))
-        if out is not None:
-            assert evaluate(f, out)
 
 
 class TestFarthestWeighted:
@@ -333,8 +421,8 @@ class TestSolve:
             f = random_formula(rng, 9)
             sols = enumerate_solutions(f)
             cfg = OracleConfig(seed=trial, effort=0.5)
-            out1 = schoning_solve(f, cfg)
-            out2 = schoning_solve(f, cfg)
+            out1, _ = schoning_solve_counted(f, cfg)
+            out2, _ = schoning_solve_counted(f, cfg)
             assert out1 == out2
             if len(sols) > 0:
                 assert out1 is not None and evaluate(f, out1)

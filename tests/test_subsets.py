@@ -12,7 +12,6 @@ from dispersat.subsets import (
     Graph,
     SetFamily,
     diverse_min,
-    diverse_min_sets,
     hitting_set_monotone_search,
     hitting_set_system,
     minimum_feasible_weight,
@@ -92,22 +91,22 @@ class TestParsers:
 
 class TestReductions:
     def test_vertex_cover_triangle(self):
-        f, back = reduce_vertex_cover(TRIANGLE)
+        f = reduce_vertex_cover(TRIANGLE)
         sols = enumerate_solutions(f)
         expected = sorted(brute_covers(TRIANGLE), key=sorted)
-        got = sorted((_assignment_to_set(back(z)) for z in sols), key=sorted)
+        got = sorted((_assignment_to_set(z) for z in sols), key=sorted)
         assert got == expected
         assert min(z.weight() for z in sols) == 2
 
     def test_independent_set_triangle(self):
-        f, back = reduce_independent_set(TRIANGLE)
+        f = reduce_independent_set(TRIANGLE)
         sols = enumerate_solutions(f)
         assert sorted(z.to_string() for z in sols) == ["000", "001", "010", "100"]
         assert max(z.weight() for z in sols) == 1
 
     def test_hitting_set(self):
         fam = SetFamily.from_lists(5, [[1, 2, 3], [3, 4, 5]])
-        f, back = reduce_hitting_set(fam)
+        f = reduce_hitting_set(fam)
         sols = enumerate_solutions(f)
         assert min(z.weight() for z in sols) == 1  # {3}
         assert f.k == 3
@@ -121,12 +120,12 @@ class TestReductions:
                 (reduce_vertex_cover, brute_covers),
                 (reduce_independent_set, brute_independent),
             ):
-                f, back = reducer(g)
-                sols = [_assignment_to_set(back(z)) for z in enumerate_solutions(f)]
+                f = reducer(g)
+                sols = [_assignment_to_set(z) for z in enumerate_solutions(f)]
                 assert sorted(sols, key=sorted) == sorted(brute(g), key=sorted)
             fam = random_family(rng, n, rng.randint(1, 2 * n))
-            f, back = reduce_hitting_set(fam)
-            sols = [_assignment_to_set(back(z)) for z in enumerate_solutions(f)]
+            f = reduce_hitting_set(fam)
+            sols = [_assignment_to_set(z) for z in enumerate_solutions(f)]
             assert sorted(sols, key=sorted) == sorted(
                 brute_hitting(fam), key=sorted
             )
@@ -221,18 +220,24 @@ class TestDiverseMin:
 
     def test_disjoint_family(self):
         fam = SetFamily.from_lists(4, [[1, 2], [3, 4]])
-        out = diverse_min_sets(
-            hitting_set_system(fam), 2, Fraction(1, 2), OracleConfig(seed=71, effort=2.0)
-        )
+        out = [
+            _assignment_to_set(z)
+            for z in diverse_min(
+                hitting_set_system(fam), 2, Fraction(1, 2), OracleConfig(seed=71, effort=2.0)
+            )
+        ]
         assert len(out) == 2
         assert all(len(c) <= 3 for c in out)
         assert len(out[0] ^ out[1]) >= 1
 
     def test_s_one_is_near_minimum(self):
         fam = SetFamily.from_lists(5, [[1, 2, 3], [3, 4, 5]])
-        out = diverse_min_sets(
-            hitting_set_system(fam), 1, Fraction(1, 2), OracleConfig(seed=72)
-        )
+        out = [
+            _assignment_to_set(z)
+            for z in diverse_min(
+                hitting_set_system(fam), 1, Fraction(1, 2), OracleConfig(seed=72)
+            )
+        ]
         assert len(out) == 1 and len(out[0]) == 1
 
     @pytest.mark.parametrize("s", [2, 3])
