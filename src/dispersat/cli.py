@@ -57,6 +57,7 @@ from .measures import (
 from .ppz import OracleConfig, ppz_farthest_sum, ppz_solve_counted
 from .schoning import (
     BudgetPlan,
+    anchored_walks,
     growth_base,
     make_plan,
     schoning_farthest_weighted,
@@ -142,7 +143,11 @@ def _config(args):
 
 
 def _plan(formula, args):
-    return make_plan(formula.n, max(formula.k, 2), args.delta, args.variant)
+    """The Schoening plan, refused before any solve when even one anchored
+    call around a single start would exceed the walk cap."""
+    plan = make_plan(formula.n, max(formula.k, 2), args.delta, args.variant)
+    anchored_walks(plan, args.effort, 1)
+    return plan
 
 
 def _cmd_enumerate(args, report):
@@ -171,11 +176,11 @@ def _cmd_diameter(args, report):
         z2 = ppz_farthest_sum(formula, [z1], cfg.spawn(1))
         pair = (z1, z2)
     else:  # schoening
+        plan = _plan(formula, args)
         z1, _ = schoning_solve_counted(formula, cfg.spawn(0))
         if z1 is None:
             report.status = "NOT_FOUND"
             return
-        plan = _plan(formula, args)
         z2 = schoning_farthest_weighted(formula, [z1], 0, plan, cfg.spawn(1))
         pair = (z1, z2 if z2 is not None else z1)
     report.assignments = _verified_strings(formula, pair)
@@ -460,3 +465,7 @@ def run(argv):
 
 def main():
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

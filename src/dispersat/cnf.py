@@ -165,7 +165,6 @@ class CnfFormula:
             if c is not None:
                 norm.append(c)
         self.clauses = tuple(norm)
-        self._arrays = None
 
     @property
     def k(self):
@@ -181,26 +180,6 @@ class CnfFormula:
         for clause in self.clauses:
             lines.append(" ".join(str(l) for l in clause) + " 0")
         return "\n".join(lines) + "\n"
-
-    def clause_arrays(self):
-        """Padded numpy views of the clause list, cached per formula.
-
-        Returns (vars, neg, valid): three (m, k) arrays with 0-based
-        variable indices, negation flags and a padding mask.
-        """
-        if self._arrays is None:
-            m = len(self.clauses)
-            width = max(self.k, 1)
-            cvars = np.zeros((m, width), dtype=np.int64)
-            cneg = np.zeros((m, width), dtype=bool)
-            valid = np.zeros((m, width), dtype=bool)
-            for i, clause in enumerate(self.clauses):
-                for j, lit in enumerate(clause):
-                    cvars[i, j] = abs(lit) - 1
-                    cneg[i, j] = lit < 0
-                    valid[i, j] = True
-            self._arrays = (cvars, cneg, valid)
-        return self._arrays
 
     def __eq__(self, other):
         return (

@@ -95,6 +95,16 @@ def best_index(scores, keys):
     return int(np.lexsort((keys, -np.asarray(scores)))[0])
 
 
+def anchor_keys_of(n, anchors):
+    """Keys of a non-empty anchor list whose members all have length n."""
+    anchors = list(anchors)
+    if not anchors:
+        raise ValueError("anchor set must be non-empty")
+    if any(a.n != n for a in anchors):
+        raise ValueError(f"anchors must have the formula's length n={n}")
+    return [a.key for a in anchors]
+
+
 def farthest_index(keys, anchor_keys, reduce):
     """Index of the farthest point oracle's answer among `keys`: the key
     whose Hamming distances to `anchor_keys`, combined by `reduce`

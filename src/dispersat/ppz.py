@@ -18,7 +18,7 @@ import numpy as np
 
 from .cnf import Assignment, CapabilityError, condition, evaluate_keys
 from .generators import MAX_KEY_BITS
-from .measures import farthest_index
+from .measures import anchor_keys_of, farthest_index
 
 _MASK64 = (1 << 64) - 1
 _BATCH = 1 << 13  # fixed logical batch so results never depend on scheduling
@@ -95,6 +95,11 @@ def ppz_modify(formula, sample):
     return Assignment.from_bits(bits)
 
 
+def word_for(n):
+    """The narrowest unsigned numpy type that holds n bits."""
+    return next(w for w in _WORDS if np.iinfo(w).bits >= n)
+
+
 class _Engine:
     """Vectorized PPZ-Modify over batches of (y, pi) samples.
 
@@ -112,7 +117,7 @@ class _Engine:
 
     def __init__(self, formula):
         n = self.n = formula.n
-        word = self.word = next(w for w in _WORDS if np.iinfo(w).bits >= n)
+        word = self.word = word_for(n)
         self.bit = np.array([0] + [1 << (n - v) for v in range(1, n + 1)], word)
         pmask = [sum(1 << (n - l) for l in c if l > 0) for c in formula.clauses]
         nmask = [sum(1 << (n + l) for l in c if l < 0) for c in formula.clauses]
@@ -266,9 +271,7 @@ def _farthest(n, keys, anchor_keys, reduce):
 def ppz_farthest_sum(formula, anchors, cfg=OracleConfig(), exclude=False):
     """Satisfying output maximizing the distance sum to `anchors`;
     exclude=True discards outputs equal to an anchor (distinct variant)."""
-    anchor_keys = [a.key for a in anchors]
-    if not anchor_keys:
-        raise ValueError("anchor set must be non-empty")
+    anchor_keys = anchor_keys_of(formula.n, anchors)
     reject = np.array(anchor_keys, dtype=np.int64) if exclude else None
     winners = _batch_winners(formula, cfg, anchor_keys, np.sum, reject)
     return _farthest(formula.n, winners, anchor_keys, np.sum)
@@ -311,9 +314,7 @@ def ppz_farthest_min(formula, anchors, cfg=OracleConfig()):
     around every anchor exhaustively, in chunks of _BALL_CHUNK keys;
     phase 2 runs PPZ repetitions.
     """
-    anchor_keys = np.array([z.key for z in anchors], dtype=np.int64)
-    if not anchor_keys.size:
-        raise ValueError("anchor set must be non-empty")
+    anchor_keys = np.array(anchor_keys_of(formula.n, anchors), dtype=np.int64)
     n = formula.n
     radius = ball_radius(n, formula.k)
     ball = sum(math.comb(n, r) for r in range(radius + 1))

@@ -10,16 +10,22 @@ as exact fractions.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .cnf import Assignment
-from .measures import farthest_index
+from .cnf import Assignment, CapabilityError
+from .generators import MAX_KEY_BITS
+from .measures import anchor_keys_of, farthest_index, popcount
+from .ppz import HARD_REPETITION_CAP, word_for
 
 _MASK64 = (1 << 64) - 1
+_TASK_BLOCK = 1 << 9  # anchored tasks per seeded block (seed format 2)
+_WALK_CHUNK = 1 << 11  # walks per engine run; bounds memory, not the stream
 
 
 def entropy(x):
@@ -139,32 +145,99 @@ def growth_base(c, alpha, delta):
     return 2 * c**rho / 2 ** entropy(rho)
 
 
+class _Walker:
+    """Packed Schoening walks, one word per walk.
+
+    A walk's state is one word of the narrowest unsigned type holding n
+    bits (variable v is bit n - v, as in keys).  Clause c is violated
+    when `(x ^ neg[c]) & var[c]` is zero: `var` masks its variables,
+    `neg` those it negates.  `lits[c, j]` is the bit of its j-th
+    literal.  `masks` holds the same (var, neg) pairs as Python ints,
+    for the scalar walker.
+    """
+
+    def __init__(self, formula):
+        n = formula.n
+        self.word = word = word_for(n)
+        bits = [[1 << (n - abs(l)) for l in c] for c in formula.clauses]
+        self.masks = [
+            (sum(row), sum(b for b, l in zip(row, c) if l < 0))
+            for row, c in zip(bits, formula.clauses)
+        ]
+        self.var = np.array([v for v, _ in self.masks], dtype=word)
+        self.neg = np.array([g for _, g in self.masks], dtype=word)
+        self.width = np.array([len(row) for row in bits], dtype=np.float64)
+        self.lits = np.zeros((len(bits), max(formula.k, 1)), dtype=word)
+        for ci, row in enumerate(bits):
+            self.lits[ci, : len(row)] = row
+
+    def run(self, starts, lengths, uniforms):
+        """Walk i starts at starts[i] and makes at most lengths[i] flips;
+        flip s takes literal floor(uniforms[i, s] * width) of the first
+        violated clause, and an empty one ends the walk.  Returns (int64
+        end keys, satisfied), exactly as schoning_walk walks each."""
+        x = starts.astype(self.word)
+        ok = np.zeros(len(x), dtype=bool)
+        if not len(self.var):
+            return x.astype(np.int64), ~ok
+        live = np.arange(len(x))
+        for step in range(uniforms.shape[1] + 1):
+            viol = x[live] ^ self.neg[:, None]
+            viol &= self.var[:, None]
+            viol = viol == 0
+            bad = viol.any(axis=0)
+            ok[live[~bad]] = True
+            clause = viol.argmax(axis=0)
+            go = bad & (step < lengths[live]) & (self.width[clause] > 0)
+            live, clause = live[go], clause[go]
+            if not live.size:
+                break
+            pick = (uniforms[live, step] * self.width[clause]).astype(np.intp)
+            x[live] ^= self.lits[clause, pick]
+        return x.astype(np.int64), ok
+
+
+def _walker(formula):
+    if formula.n > MAX_KEY_BITS:
+        raise CapabilityError(
+            f"Schoening walks pack keys in int64; n={formula.n} > {MAX_KEY_BITS}"
+        )
+    eng = getattr(formula, "_walk_engine", None)
+    if eng is None:
+        eng = formula._walk_engine = _Walker(formula)
+    return eng
+
+
 def schoning_walk(formula, z, steps, rng):
-    """Random walk: up to `steps` flips of a uniform literal of the first
-    violated clause; returns the first satisfying assignment reached."""
+    """Random walk: up to `steps` flips of a literal of the first violated
+    clause; returns the first satisfying assignment reached.
+
+    Flip s takes literal floor(u_s * width) of that clause.  `rng` is
+    either the uniforms u_0, u_1, ... already drawn, or a Generator the
+    `steps` of them are drawn from, all before the first flip.
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    bits = z.to_array()
-    if formula.num_clauses == 0:
-        return Assignment.from_bits(bits)
-    cvars, cneg, valid = formula.clause_arrays()
+    u = rng.random(steps) if isinstance(rng, np.random.Generator) else rng
+    n, key = formula.n, z.key
+    masks = _walker(formula).masks
     for flips_done in range(steps + 1):
-        sat = ((bits[cvars] ^ cneg) & valid).any(axis=1)
-        if sat.all():
-            return Assignment.from_bits(bits)
-        if flips_done == steps:
-            return None
-        clause = formula.clauses[int(np.argmax(~sat))]
-        if not clause:
-            return None  # empty clause: the walk cannot repair it
-        lit = clause[int(rng.integers(len(clause)))]
-        bits[abs(lit) - 1] = not bits[abs(lit) - 1]
+        for ci, (var, neg) in enumerate(masks):
+            if not (key ^ neg) & var:
+                break
+        else:
+            return Assignment(n, key)
+        clause = formula.clauses[ci]
+        if flips_done == steps or not clause:
+            return None  # out of flips, or an empty clause it cannot repair
+        key ^= 1 << (n - abs(clause[int(u[flips_done] * len(clause))]))
     return None
 
 
 def local_search(formula, y, t, plan, rng):
-    """plan.walks(t) walks of plan.walk_length(t) flips from y; any
-    returned assignment lies within ceil(alpha t) flips of y."""
+    """plan.walks(t) walks of plan.walk_length(t) flips from y, each
+    drawing its uniforms from rng in turn; the first satisfying walk
+    wins, and lies within ceil(alpha t) flips of y."""
     if t > formula.n:
         raise ValueError("t must not exceed n")
     length = plan.walk_length(t)
@@ -177,76 +250,164 @@ def local_search(formula, y, t, plan, rng):
     return None
 
 
+@functools.cache
+def _binomial_prefix(n):
+    """P[x] = sum of C(n, j) for j < x, x = 0..n+1, as uint64."""
+    if n > MAX_KEY_BITS:
+        raise CapabilityError(f"annulus keys are int64; n={n} > {MAX_KEY_BITS}")
+    prefix = np.array(
+        [0] + list(itertools.accumulate(math.comb(n, x) for x in range(n + 1))),
+        dtype=np.uint64,
+    )
+    prefix.setflags(write=False)
+    return prefix
+
+
+def _annulus_keys(gen, n, centers, lo, hi):
+    """One uniform point per row of {x : lo <= d_H(x, center) <= hi},
+    as int64 keys; lo <= hi <= n per row.  The radius is drawn with the
+    exact integer weights C(n, radius); the coordinates that come first
+    in a uniform permutation of the n are then flipped."""
+    prefix = _binomial_prefix(n)
+    base = prefix[lo]
+    draw = gen.integers(0, prefix[hi + 1] - base, dtype=np.uint64)
+    radius = np.searchsorted(prefix, base + draw, side="right") - 1
+    order = gen.permuted(np.broadcast_to(np.arange(n), (len(centers), n)), axis=1)
+    bits = np.int64(1) << (n - 1 - order)
+    flips = np.where(np.arange(n) < radius[:, None], bits, 0)
+    return centers ^ np.bitwise_or.reduce(flips, axis=1)
+
+
 def sample_annulus(z, lo, hi, rng):
-    """Uniform point of {x : lo <= d_H(x, z) <= min(hi, n)}: draw the
-    radius proportionally to C(n, radius), then flip that many
-    uniformly random coordinates of z."""
+    """Uniform point of {x : lo <= d_H(x, z) <= min(hi, n)}: one row of
+    the anchored search's block sampler."""
     n = z.n
     if lo > n:
         raise ValueError("lo exceeds n")
     if not 0 <= lo <= hi:
         raise ValueError("need 0 <= lo <= hi")
-    hi = min(hi, n)
-    weights = [math.comb(n, x) for x in range(lo, hi + 1)]
-    total = sum(weights)
-    draw = int(rng.integers(total))
-    radius = lo
-    for w in weights:
-        if draw < w:
-            break
-        draw -= w
-        radius += 1
-    out = z
-    for position in rng.permutation(n)[:radius]:
-        out = out.flip(int(position) + 1)
-    return out
+    rows = (np.array([v]) for v in (z.key, lo, min(hi, n)))
+    return Assignment(n, int(_annulus_keys(rng, n, *rows)[0]))
 
 
-def _anchored_argmax(plan, cfg, starts, r_values, search, anchor_keys, reduce, accepts):
-    """Shared (r, start anchor, repetition) loop; every repetition is its
-    own seeded task so the result is independent of evaluation order.
-    Of the outputs that `accepts` admits, returns the farthest from
-    `anchor_keys` by `reduce` (see `farthest_index`), even at distance 0."""
-    found = []
-    for r in r_values:
-        t = plan.walk_radius(r)
-        reps = plan.per_r_repetitions(r, cfg.effort)
-        lo, hi = max(r - t, 0), r + t
-        for ai, anchor in enumerate(starts):
-            for rep in range(reps):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([cfg.seed & _MASK64, r, ai, rep])
-                )
-                y = sample_annulus(anchor, lo, hi, rng)
-                out = search(y, t, rng)
-                if out is not None and accepts(out):
-                    found.append(out)
-    if not found:
+@functools.cache
+def _schedule(plan, effort, r_first):
+    """(r, t, repetitions) for r = r_first..n, in Python integers."""
+    return tuple(
+        (r, plan.walk_radius(r), plan.per_r_repetitions(r, effort))
+        for r in range(r_first, plan.n + 1)
+    )
+
+
+def anchored_walks(plan, effort, starts, r_first=1):
+    """Walks an anchored search plans around `starts` centers, starts x
+    sum over r of repetitions(r) ceil(c^t); CapabilityError above
+    HARD_REPETITION_CAP."""
+    sched = _schedule(plan, effort, r_first)
+    walks = starts * sum(reps * plan.walks(t) for _, t, reps in sched)
+    if walks > HARD_REPETITION_CAP:
+        raise CapabilityError(
+            f"the anchored search would run {walks} walks (n={plan.n}), "
+            f"above the cap of {HARD_REPETITION_CAP}"
+        )
+    return walks
+
+
+def _task_blocks(n, plan, cfg, centers, r_first):
+    """Seed format 2 of the anchored search.  The (r, center, repetition)
+    tasks, in that order, are cut into blocks of _TASK_BLOCK; block b
+    draws everything it uses from one generator seeded by (seed, b):
+    first each task's start in the annulus [r - t, r + t] around its
+    center, then whatever the search draws.  Yields (start keys, t,
+    generator) per block, once the whole plan has passed the cap."""
+    if plan.n != n:
+        raise ValueError(f"the plan is for n={plan.n}, the search for n={n}")
+    anchored_walks(plan, cfg.effort, len(centers), r_first)
+    sched = _schedule(plan, cfg.effort, r_first)
+    if not sched:
+        return
+    r, t, reps = (np.array(col, dtype=np.int64) for col in zip(*sched))
+    centers = np.array(centers, dtype=np.int64)
+    counts = reps * len(centers)
+    ends = np.cumsum(counts)
+    for block, first in enumerate(range(0, int(ends[-1]), _TASK_BLOCK)):
+        task = np.arange(first, min(first + _TASK_BLOCK, int(ends[-1])))
+        row = np.searchsorted(ends, task, side="right")
+        center = (task - ends[row] + counts[row]) // reps[row]
+        lo = np.maximum(r[row] - t[row], 0)
+        hi = np.minimum(r[row] + t[row], n)
+        gen = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed & _MASK64, block])
+        )
+        yield _annulus_keys(gen, n, centers[center], lo, hi), t[row], gen
+
+
+def _walk_search(formula, plan):
+    """The anchored search's block search by packed walks: task i runs
+    plan.walks(t_i) walks of plan.walk_length(t_i) flips from keys[i],
+    with one uniform per (walk, step) drawn in (task, walk, step) order,
+    and returns its first satisfying walk, as local_search does.  Walks
+    go to the engine _WALK_CHUNK at a time; a task that has succeeded
+    skips its later walks, whose uniforms are still drawn."""
+    eng = _walker(formula)
+    walks_of = np.array([plan.walks(t) for t in range(plan.R + 1)])
+    length_of = np.array([plan.walk_length(t) for t in range(plan.R + 1)])
+
+    def search(keys, t, gen):
+        task = np.repeat(np.arange(len(keys)), walks_of[t])
+        lengths = length_of[t][task]
+        out = np.zeros(len(keys), dtype=np.int64)
+        hit = np.zeros(len(keys), dtype=bool)
+        for lo in range(0, len(task), _WALK_CHUNK):
+            tk, ln = task[lo : lo + _WALK_CHUNK], lengths[lo : lo + _WALK_CHUNK]
+            u = gen.random(int(ln.sum()))
+            at = np.cumsum(ln) - ln  # where each walk's uniforms start in u
+            live = ~hit[tk]
+            tk, ln, at = tk[live], ln[live], at[live]
+            steps = at[:, None] + np.arange(ln.max(initial=0))
+            ends, ok = eng.run(keys[tk], ln, u[np.minimum(steps, max(u.size - 1, 0))])
+            tk, ends = tk[ok], ends[ok]
+            first = np.diff(tk, prepend=-1) != 0  # walks run in task order
+            out[tk[first]], hit[tk[first]] = ends[first], True
+        if (popcount(out ^ keys)[hit] > length_of[t][hit]).any():
+            raise AssertionError("walk escaped its radius")
+        return out, hit
+
+    return search
+
+
+def _anchored_argmax(n, plan, cfg, centers, r_first, search, anchor_keys, reduce, window):
+    """Runs `search(keys, t, gen)` -> (out keys, hit) over the anchored
+    tasks (see _task_blocks).  Of the hits whose weight lies in the
+    integer `window`, returns the farthest from `anchor_keys` by `reduce`
+    (see `farthest_index`), even at distance 0."""
+    lo_w, hi_w = window
+    winners = []
+    for keys, t, gen in _task_blocks(n, plan, cfg, centers, r_first):
+        out, hit = search(keys, t, gen)
+        weight = popcount(out)
+        out = out[hit & (lo_w <= weight) & (weight <= hi_w)]
+        if out.size:
+            winners.append(out[farthest_index(out, anchor_keys, reduce)])
+    if not winners:
         return None
-    return found[farthest_index([z.key for z in found], anchor_keys, reduce)]
+    return Assignment(n, int(winners[farthest_index(winners, anchor_keys, reduce)]))
 
 
-def anchored_farthest_min(anchors, plan, cfg, search, lo_w, hi_w):
-    """Best output of `search(y, t, rng)` by min-distance to `anchors`
-    whose weight lies in [lo_w, hi_w].
+def weight_window(delta, w):
+    """The integer weights in [(1 - delta) w, (1 + delta) w]."""
+    return math.ceil((1 - delta) * w), math.floor((1 + delta) * w)
+
+
+def anchored_farthest_min(n, anchors, plan, cfg, search, window):
+    """Best output of the block search `search` (see _anchored_argmax) by
+    min-distance to `anchors` whose weight lies in the integer window.
 
     Starts are drawn around every anchor and around the all-zeros point;
     the latter is what ties output weight to the window.
     """
-    anchors = list(anchors)
-    if not anchors:
-        raise ValueError("anchor set must be non-empty")
-    n = anchors[0].n
-    return _anchored_argmax(
-        plan,
-        cfg,
-        anchors + [Assignment.zeros(n)],
-        range(1, n + 1),
-        search,
-        [a.key for a in anchors],
-        np.min,
-        lambda z: lo_w <= z.weight() <= hi_w,
-    )
+    keys = anchor_keys_of(n, anchors)
+    return _anchored_argmax(n, plan, cfg, keys + [0], 1, search, keys, np.min, window)
 
 
 def schoning_farthest_weighted(formula, anchors, w, plan, cfg):
@@ -255,35 +416,18 @@ def schoning_farthest_weighted(formula, anchors, w, plan, cfg):
     n = formula.n
     if not 0 <= w <= n:
         raise ValueError("W must lie in 0..n")
-    if w == 0:
-        lo_w, hi_w = 0, n
-    else:
-        lo_w, hi_w = (1 - plan.delta) * w, (1 + plan.delta) * w
+    window = (0, n) if w == 0 else weight_window(plan.delta, w)
     return anchored_farthest_min(
-        anchors,
-        plan,
-        cfg,
-        lambda y, t, rng: local_search(formula, y, t, plan, rng),
-        lo_w,
-        hi_w,
+        n, anchors, plan, cfg, _walk_search(formula, plan), window
     )
 
 
 def schoning_farthest_sum(formula, anchors, plan, cfg):
     """Best satisfying output by sum of distances to the multiset `anchors`."""
-    anchors = list(anchors)
-    if not anchors:
-        raise ValueError("anchor set must be non-empty")
-    return _anchored_argmax(
-        plan,
-        cfg,
-        anchors,
-        range(0, formula.n + 1),
-        lambda y, t, rng: local_search(formula, y, t, plan, rng),
-        [a.key for a in anchors],
-        np.sum,
-        lambda z: True,
-    )
+    n = formula.n
+    keys = anchor_keys_of(n, anchors)
+    search = _walk_search(formula, plan)
+    return _anchored_argmax(n, plan, cfg, keys, 0, search, keys, np.sum, (0, n))
 
 
 def schoning_solve_counted(formula, cfg):

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .cnf import (
     Assignment,
     CapabilityError,
@@ -22,7 +24,7 @@ from .cnf import (
     UnsatError,
 )
 from .dispersion import FarthestOracle, gonzalez_min
-from .schoning import BudgetPlan, anchored_farthest_min
+from .schoning import BudgetPlan, anchored_farthest_min, weight_window
 
 
 @dataclass(frozen=True)
@@ -203,8 +205,17 @@ def _set_to_assignment(n, subset):
     return Assignment(n, key)
 
 
+def _key_to_set(n, key):
+    members = []
+    while key:
+        low = key & -key
+        members.append(n + 1 - low.bit_length())
+        key ^= low
+    return frozenset(members)
+
+
 def _assignment_to_set(z):
-    return frozenset(v for v in range(1, z.n + 1) if z.bit(v))
+    return _key_to_set(z.n, z.key)
 
 
 def minimum_feasible_weight(system):
@@ -220,9 +231,10 @@ def minimum_feasible_weight(system):
 def diverse_min(system, s, delta, cfg):
     """s dispersed feasible sets, each of size at most (1+delta) OPT.
 
-    The CNF anchored machinery runs unchanged with the system's PLFS in
-    place of the walk: anchors are the current sets plus the empty set,
-    starts are annulus samples, and the exact-weight target is OPT, so
+    The CNF anchored machinery runs unchanged with the system's PLFS,
+    one call per task, in place of the walks: anchors are the current
+    sets plus the empty set, starts come from the anchored search's
+    block sampler, and the exact-weight target is OPT, so
     qualifying outputs stay near-minimum while min-distance is pushed up.
     """
     if s < 1:
@@ -232,15 +244,20 @@ def diverse_min(system, s, delta, cfg):
     opt, witness = minimum_feasible_weight(system)
     delta = Fraction(delta)
     plan = BudgetPlan(n, delta, 1, system.c)
-    lo_w, hi_w = (1 - delta) * opt, (1 + delta) * opt
+    window = weight_window(delta, opt)
 
-    def search(y, t, rng):
-        found = plfs(_assignment_to_set(y), t)
-        return None if found is None else _set_to_assignment(n, found)
+    def search(keys, t, gen):
+        out = np.zeros(len(keys), dtype=np.int64)
+        hit = np.zeros(len(keys), dtype=bool)
+        for i, (key, ti) in enumerate(zip(keys.tolist(), t.tolist())):
+            found = plfs(_key_to_set(n, key), ti)
+            if found is not None:
+                out[i], hit[i] = _set_to_assignment(n, found).key, True
+        return out, hit
 
     def fn(formula, anchors, salt):
         return anchored_farthest_min(
-            anchors, plan, cfg.spawn(2, *salt), search, lo_w, hi_w
+            n, anchors, plan, cfg.spawn(2, *salt), search, window
         )
 
     oracle = FarthestOracle("min", fn)

@@ -1,8 +1,13 @@
 import json
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dispersat
 from dispersat.cli import probe_speedup, run
 from dispersat.generators import planted_kcnf
 
@@ -75,6 +80,39 @@ class TestTooLarge:
         assert code == 1
         assert data["status"] == "TOO_LARGE"
         assert "above the cap" in data["message"]
+
+    @pytest.mark.parametrize("command", ["disperse", "diameter"])
+    def test_schoening_anchored_search_above_cap(self, tmp_path, capsys, command):
+        formula, _ = planted_kcnf(40, 3, 160, np.random.default_rng(0))
+        path = tmp_path / "n40.cnf"
+        path.write_text(formula.to_dimacs())
+        argv = [command, "--algo", "schoening", str(path)]
+        if command == "disperse":
+            argv[1:1] = ["--s", "3"]
+        started = time.perf_counter()
+        code = run(argv)
+        data = capture(capsys)
+        assert time.perf_counter() - started < 5
+        assert code == 1
+        assert data["status"] == "TOO_LARGE"
+        assert "2727827158 walks (n=40), above the cap" in data["message"]
+
+
+class TestModuleEntry:
+    def test_python_m_prints_a_report(self, tmp_path):
+        path = tmp_path / "or2.cnf"
+        path.write_text(OR2)
+        src = str(Path(dispersat.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "dispersat.cli", "diameter", "--algo", "fwht", str(path)],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        data = json.loads(done.stdout)
+        assert data["status"] == "OK" and data["values"]["distance"] == 2
 
 
 class TestDisperse:

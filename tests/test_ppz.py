@@ -340,3 +340,11 @@ class TestFarthest:
             ):
                 if z is not None:
                     assert evaluate(f, z)
+
+    def test_anchor_length_must_match_formula(self):
+        f = CnfFormula(3, [(1, 2)])
+        for anchors in ([Assignment(6, 63)], [A("101"), A("10")]):
+            with pytest.raises(ValueError, match="length n=3"):
+                ppz_farthest_sum(f, anchors, OracleConfig(seed=1))
+            with pytest.raises(ValueError, match="length n=3"):
+                ppz_farthest_min(f, anchors, OracleConfig(seed=1))

@@ -1,12 +1,18 @@
+import copy
+import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dispersat.brute import enumerate_solutions, farthest_min
-from dispersat.cnf import Assignment, CnfFormula, evaluate
+from dispersat.cnf import Assignment, CapabilityError, CnfFormula, evaluate
+from dispersat.generators import planted_kcnf
 from dispersat import ppz, schoning
 from dispersat.ppz import OracleConfig
 from dispersat.schoning import (
@@ -22,6 +28,7 @@ from dispersat.schoning import (
     schoning_farthest_weighted,
     schoning_solve_counted,
     schoning_walk,
+    weight_window,
 )
 
 
@@ -468,3 +475,250 @@ class TestSolve:
         for reps in (0, -2):
             with pytest.raises(ValueError):
                 schoning_solve_counted(f, OracleConfig(repetitions=reps))
+
+
+def mixed_formula(rng, n, m, kmax):
+    """Random clauses of width 0..kmax, so empty and unit clauses occur."""
+    clauses = []
+    for _ in range(m):
+        width = rng.randint(0, min(n, kmax))
+        clauses.append(
+            [rng.choice([-1, 1]) * v for v in rng.sample(range(1, n + 1), width)]
+        )
+    return CnfFormula(n, clauses)
+
+
+class TestWalkEngine:
+    WIDTHS = (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 62, 63)
+
+    def _compare(self, f, rng, walks=60):
+        n = f.n
+        starts = [rng.randrange(1 << n) for _ in range(walks)]
+        lengths = [rng.randint(0, 6) for _ in range(walks)]
+        uniforms = np.random.default_rng(rng.randrange(2**32)).random((walks, 6))
+        ends, ok = schoning._walker(f).run(
+            np.array(starts, dtype=np.int64), np.array(lengths), uniforms
+        )
+        hits = 0
+        for i in range(walks):
+            ref = schoning_walk(f, Assignment(n, starts[i]), lengths[i], uniforms[i])
+            assert bool(ok[i]) == (ref is not None)
+            if ref is not None:
+                assert int(ends[i]) == ref.key
+                hits += 1
+        return hits
+
+    def test_matches_scalar_walker(self):
+        rng = random.Random(50)
+        hits = 0
+        for n in self.WIDTHS:
+            for m in (0, 1, 3, n, 3 * n):
+                for kmax in (1, 3, 5):
+                    hits += self._compare(mixed_formula(rng, n, m, kmax), rng)
+        assert hits > 1000  # the comparison covers successful walks too
+
+    def test_empty_clause_and_empty_formula(self):
+        rng = random.Random(51)
+        for n in (1, 8, 63):
+            assert self._compare(CnfFormula(n, []), rng) == 60
+            assert self._compare(CnfFormula(n, [()]), rng) == 0
+            assert self._compare(CnfFormula(n, [(1,), ()]), rng) == 0
+
+    def test_packed_word_is_narrowest(self):
+        for n, word in ((7, np.uint8), (8, np.uint8), (9, np.uint16), (33, np.uint64)):
+            assert schoning._walker(CnfFormula(n, [(1,)])).word is word
+
+    def test_block_search_matches_local_search_rule(self):
+        rng = random.Random(52)
+        hits = 0
+        for n, k, blocks in ((6, 2, None), (10, 3, None), (17, 3, 2), (20, 4, 1)):
+            f = random_formula(rng, n, k=k, m=2 * n)
+            plan = make_plan(n, k)
+            search = schoning._walk_search(f, plan)
+            cfg = OracleConfig(seed=rng.randrange(2**32))
+            centers = [rng.randrange(1 << n) for _ in range(2)]
+            tasks = schoning._task_blocks(n, plan, cfg, centers, 1)
+            for keys, t, gen in itertools.islice(tasks, blocks):
+                flat = copy.deepcopy(gen)
+                out, hit = search(keys, t, gen)
+                for i in range(len(keys)):
+                    ti = int(t[i])
+                    y = Assignment(n, int(keys[i]))
+                    ref = local_search(f, y, ti, plan, copy.deepcopy(flat))
+                    flat.random(plan.walks(ti) * plan.walk_length(ti))  # next task
+                    assert bool(hit[i]) == (ref is not None)
+                    if ref is not None:
+                        assert int(out[i]) == ref.key
+                        hits += 1
+        assert hits > 100
+
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    def test_outputs_ignore_the_evaluation_chunk(self, monkeypatch, chunk):
+        rng = random.Random(53)
+        calls = []
+        for _ in range(4):
+            f = random_formula(rng, 9, k=3, m=20)
+            plan = make_plan(9, 3)
+            anchors = [Assignment(9, rng.randrange(512)) for _ in range(2)]
+            calls.append((f, anchors, plan, OracleConfig(seed=rng.randrange(99))))
+        expected = [
+            (
+                schoning_farthest_weighted(f, a, 4, p, c),
+                schoning_farthest_sum(f, a, p, c),
+            )
+            for f, a, p, c in calls
+        ]
+        if chunk is not None:
+            monkeypatch.setattr(schoning, "_WALK_CHUNK", chunk)
+        for (f, a, p, c), want in zip(calls, expected):
+            f = CnfFormula(f.n, f.clauses)  # no cached engine
+            got = (
+                schoning_farthest_weighted(f, a, 4, p, c),
+                schoning_farthest_sum(f, a, p, c),
+            )
+            assert got == want
+
+    def test_escaped_walk_raises_under_python_O(self):
+        script = """
+import numpy as np
+from dispersat import schoning
+from dispersat.cnf import Assignment, CnfFormula
+from dispersat.ppz import OracleConfig
+
+def far(self, starts, lengths, uniforms):
+    return ~starts & 0b1111, np.ones(len(starts), dtype=bool)
+
+schoning._Walker.run = far
+f = CnfFormula(4, [(1, 2)])
+try:
+    schoning.schoning_farthest_weighted(
+        f, [Assignment(4, 0)], 0, schoning.make_plan(4, 2), OracleConfig(seed=3)
+    )
+except AssertionError as err:
+    print(err)
+"""
+        src = str(Path(schoning.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src},
+            timeout=120,
+        )
+        assert done.stdout.strip() == "walk escaped its radius", done.stderr
+
+
+class TestBlockSampler:
+    def test_exact_proportions_with_mixed_rows(self):
+        n, draws = 10, 40000
+        shells = ((2, 7), (0, 4), (6, 10))  # (lo, hi), cycled row by row
+        lo = np.array([shells[i % 3][0] for i in range(draws)])
+        hi = np.array([shells[i % 3][1] for i in range(draws)])
+        centers = np.random.default_rng(1).integers(0, 1 << n, draws)
+        keys = schoning._annulus_keys(rng_for(78), n, centers, lo, hi)
+        radius = np.bitwise_count(keys ^ centers)
+        assert ((lo <= radius) & (radius <= hi)).all()
+        # 0.1% tails of chi-square with 5, 4 and 4 degrees of freedom
+        for (a, b), limit in zip(shells, (20.52, 18.47, 18.47)):
+            got = radius[(lo == a) & (hi == b)]
+            weights = [math.comb(n, x) for x in range(a, b + 1)]
+            chi2 = 0.0
+            for x, w in zip(range(a, b + 1), weights):
+                expected = len(got) * w / sum(weights)
+                chi2 += ((got == x).sum() - expected) ** 2 / expected
+            assert chi2 < limit
+
+    def test_flipped_coordinates_are_uniform(self):
+        n, draws = 8, 16000
+        centers = np.zeros(draws, dtype=np.int64)
+        keys = schoning._annulus_keys(
+            rng_for(79), n, centers, np.full(draws, 3), np.full(draws, 3)
+        )
+        per_bit = [((keys >> b) & 1).sum() for b in range(n)]
+        expected = draws * 3 / n
+        assert all(abs(c - expected) < 5 * math.sqrt(expected) for c in per_bit)
+
+    def test_no_overflow_at_n63(self):
+        n, draws = 63, 4000
+        gen = rng_for(80)
+        centers = gen.integers(0, 1 << 62, draws) * 2 + 1
+        for lo, hi in ((0, 63), (63, 63), (0, 0), (31, 40)):
+            keys = schoning._annulus_keys(
+                gen, n, centers, np.full(draws, lo), np.full(draws, hi)
+            )
+            assert keys.dtype == np.int64 and (keys >= 0).all()
+            radius = np.bitwise_count(keys ^ centers)
+            assert ((lo <= radius) & (radius <= hi)).all()
+        keys = schoning._annulus_keys(
+            gen, n, centers, np.zeros(draws, int), np.full(draws, 63)
+        )
+        # binomial(63, 1/2): mean 31.5, standard deviation 3.97
+        assert abs(np.bitwise_count(keys ^ centers).mean() - 31.5) < 0.5
+
+    def test_sample_annulus_is_one_row(self):
+        z = A("1011001010")
+        for lo, hi in ((0, 10), (2, 5), (10, 14)):
+            one = sample_annulus(z, lo, hi, rng_for(81, lo))
+            row = schoning._annulus_keys(
+                rng_for(81, lo), 10, np.array([z.key]), np.array([lo]),
+                np.array([min(hi, 10)]),
+            )
+            assert one.key == int(row[0])
+
+
+class TestWeightWindow:
+    def test_integer_bounds_match_fractions(self):
+        for delta in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1),
+                      Fraction(1, 7), Fraction(5, 6)):
+            for w in range(0, 25):
+                lo, hi = weight_window(delta, w)
+                for x in range(0, 60):
+                    assert (lo <= x <= hi) == ((1 - delta) * w <= x <= (1 + delta) * w)
+
+
+class TestAnchoredCap:
+    def test_refused_before_drawing(self, monkeypatch):
+        f, _ = planted_kcnf(40, 3, 160, np.random.default_rng(0))
+        plan = make_plan(40, 3)
+        anchor = Assignment(40, 0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator was built before the cap check")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        with pytest.raises(CapabilityError, match=r"5455654316 walks \(n=40\)"):
+            schoning_farthest_weighted(f, [anchor], 0, plan, OracleConfig(seed=1))
+        with pytest.raises(CapabilityError, match=r"2727827159 walks"):
+            schoning_farthest_sum(f, [anchor], plan, OracleConfig(seed=1))
+
+    def test_cap_is_the_planned_walk_count(self, monkeypatch):
+        f = CnfFormula(10, [(1, 2, 3)])
+        plan = make_plan(10, 3)
+        walks = schoning.anchored_walks(plan, 1.0, 2)
+        per_start = sum(
+            plan.per_r_repetitions(r) * plan.walks(plan.walk_radius(r))
+            for r in range(1, 11)
+        )
+        assert walks == 2 * per_start == 2 * 928
+        cfg = OracleConfig(seed=2)
+        monkeypatch.setattr(schoning, "HARD_REPETITION_CAP", walks)
+        assert schoning_farthest_weighted(f, [A("1111111111")], 0, plan, cfg)
+        monkeypatch.setattr(schoning, "HARD_REPETITION_CAP", walks - 1)
+        with pytest.raises(CapabilityError, match=f"{walks} walks"):
+            schoning_farthest_weighted(f, [A("1111111111")], 0, plan, cfg)
+
+
+class TestAnchorLength:
+    def test_anchored_oracles_check_anchor_length(self):
+        f = CnfFormula(3, [(1, 2)])
+        plan = make_plan(3, 2)
+        for anchors in ([Assignment(6, 63)], [A("101"), A("10")]):
+            with pytest.raises(ValueError, match="length n=3"):
+                schoning_farthest_weighted(f, anchors, 0, plan, OracleConfig(seed=1))
+            with pytest.raises(ValueError, match="length n=3"):
+                schoning_farthest_sum(f, anchors, plan, OracleConfig(seed=1))
+
+    def test_plan_must_match_formula(self):
+        f = CnfFormula(3, [(1, 2)])
+        with pytest.raises(ValueError, match="plan is for n=5"):
+            schoning_farthest_weighted(f, [A("101")], 0, make_plan(5, 2), OracleConfig())
