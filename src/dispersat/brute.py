@@ -22,7 +22,7 @@ from .cnf import (
 )
 from .measures import DispersionObjective, NO_WEIGHT, SolutionCollection, popcount
 
-ENUMERATION_LIMIT = 24  # 16M assignments; override per call when you mean it
+ENUMERATION_LIMIT = 24  # 16M assignments; `enumerate --limit` may raise it
 
 
 def enumerate_solutions(formula, limit=None):
@@ -115,7 +115,7 @@ def _best_sum_pd(dmat, s, with_replacement):
     return best_val, best_idx
 
 
-def brute_opt(formula, s, objective, weight=NO_WEIGHT, limit=None):
+def brute_opt(formula, s, objective, weight=NO_WEIGHT):
     """Exact optimum dispersion over s solutions of `formula`.
 
     MIN_PD and SUM_PD_DISTINCT range over sets, SUM_PD over multisets;
@@ -124,7 +124,7 @@ def brute_opt(formula, s, objective, weight=NO_WEIGHT, limit=None):
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    solutions = enumerate_solutions(formula, limit).members
+    solutions = enumerate_solutions(formula).members
     if not solutions:
         raise UnsatError("formula has no satisfying assignment")
     pool = _filter_weight(solutions, weight)
@@ -157,46 +157,34 @@ def brute_opt(formula, s, objective, weight=NO_WEIGHT, limit=None):
     return val, witness
 
 
-def farthest_min(formula, anchors, limit=None, exclude=False):
+def farthest_min(formula, anchors):
     """Exact farthest point by min-distance: the satisfying assignment
     maximizing min-d_H(anchors, .); lexicographically smallest argmax."""
-    solutions = enumerate_solutions(formula, limit).members
-    if exclude:
-        banned = set(anchors)
-        solutions = [z for z in solutions if z not in banned]
-    if not solutions:
-        return None
-    best = None
-    for z in solutions:
-        val = min(z.distance(a) for a in anchors)
-        if best is None or val > best[0]:
-            best = (val, z)
-    return best[1]
+    return max(
+        enumerate_solutions(formula).members,
+        key=lambda z: min(z.distance(a) for a in anchors),
+        default=None,
+    )
 
 
-def farthest_sum(formula, anchors, limit=None, exclude=False):
-    """Exact farthest point by sum-distance."""
-    solutions = enumerate_solutions(formula, limit).members
-    if exclude:
-        banned = set(anchors)
-        solutions = [z for z in solutions if z not in banned]
-    if not solutions:
-        return None
-    best = None
-    for z in solutions:
-        val = sum(z.distance(a) for a in anchors)
-        if best is None or val > best[0]:
-            best = (val, z)
-    return best[1]
+def farthest_sum(formula, anchors, exclude=False):
+    """Exact farthest point by sum-distance; exclude=True skips points
+    equal to an anchor."""
+    banned = set(anchors) if exclude else ()
+    return max(
+        (z for z in enumerate_solutions(formula) if z not in banned),
+        key=lambda z: sum(z.distance(a) for a in anchors),
+        default=None,
+    )
 
 
-def solution_adjacency(formula, limit=None):
+def solution_adjacency(formula):
     """The solution graph: hypercube edges between satisfying assignments.
 
     Returns (keys, adjacency) where adjacency maps each solution key to
     the sorted list of neighboring solution keys.
     """
-    keys = [z.key for z in enumerate_solutions(formula, limit)]
+    keys = [z.key for z in enumerate_solutions(formula)]
     keyset = set(keys)
     n = formula.n
     adjacency = {
@@ -208,26 +196,26 @@ def solution_adjacency(formula, limit=None):
     return keys, adjacency
 
 
-def min_ones_brute(formula, limit=None):
+def min_ones_brute(formula):
     """A minimum-Hamming-weight solution (lexicographically smallest on ties)."""
-    solutions = enumerate_solutions(formula, limit).members
+    solutions = enumerate_solutions(formula).members
     if not solutions:
         raise UnsatError("formula has no satisfying assignment")
     return min(solutions, key=lambda z: (z.weight(), z.key))
 
 
-def diameter_via_min_ones(formula, limit=None):
+def diameter_via_min_ones(formula):
     """A 1/2-approximate diameter pair through the Min-Ones reduction.
 
     Finds any solution alpha, rotates the formula so alpha maps to the
     all-ones point, solves Min-Ones there, and maps back.  The returned
     pair is guaranteed to span at least half the true diameter.
     """
-    solutions = enumerate_solutions(formula, limit).members
+    solutions = enumerate_solutions(formula).members
     if not solutions:
         raise UnsatError("formula has no satisfying assignment")
     alpha = solutions[0]
     rotated = rotate(formula, alpha)
-    beta_rot = min_ones_brute(rotated, limit)
+    beta_rot = min_ones_brute(rotated)
     beta = beta_rot ^ alpha.complement()
     return alpha, beta

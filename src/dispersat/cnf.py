@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+MAX_KEY_BITS = 63  # assignment keys are int64
+
 
 class ParseError(ValueError):
     """Malformed DIMACS input; carries the 1-based line number."""
@@ -23,6 +25,12 @@ class ParseError(ValueError):
 
 class CapabilityError(RuntimeError):
     """Instance exceeds a configured size limit (not a correctness error)."""
+
+
+def check_key_width(n):
+    """Refuse n above MAX_KEY_BITS, where keys no longer fit an int64."""
+    if n > MAX_KEY_BITS:
+        raise CapabilityError(f"n={n} exceeds the {MAX_KEY_BITS}-bit key limit")
 
 
 class UnsatError(RuntimeError):

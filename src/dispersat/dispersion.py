@@ -48,14 +48,13 @@ class FarthestOracle:
         return self.fn(formula, anchors, salt)
 
 
-def exact_min_oracle(limit=None):
-    return FarthestOracle("min", lambda f, s, salt: farthest_min(f, s, limit))
+def exact_min_oracle():
+    return FarthestOracle("min", lambda f, s, salt: farthest_min(f, s))
 
 
-def exact_sum_oracle(limit=None, exclude=False):
+def exact_sum_oracle(exclude=False):
     return FarthestOracle(
-        "sum",
-        lambda f, s, salt: farthest_sum(f, s, limit, exclude=exclude),
+        "sum", lambda f, s, salt: farthest_sum(f, s, exclude=exclude)
     )
 
 
@@ -123,12 +122,8 @@ def schoning_weighted_min_oracle(plan, cfg, w, kind=WeightKind.AT_LEAST):
     return FarthestOracle("min", fn)
 
 
-def exact_seeder(limit=None):
-    def seed(formula):
-        sols = enumerate_solutions(formula, limit).members
-        return sols[0] if sols else None
-
-    return seed
+def exact_seeder():
+    return lambda formula: next(iter(enumerate_solutions(formula)), None)
 
 
 def ppz_seeder(cfg):

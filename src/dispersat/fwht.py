@@ -38,19 +38,19 @@ DISPERSION_WORK_LIMIT = 24  # cap on (s-1)*n
 _CHUNK_ENTRIES = 1 << 17  # int64 entries per live table of an offset chunk
 
 
-def _check_size(n, limit, tables):
-    """Refuse n above `limit` before anything is allocated; the message
+def _check_size(n, tables):
+    """Refuse n above FWHT_LIMIT before anything is allocated; the message
     gives the bytes `tables` live int64 tables of 2^n entries would take."""
-    if n > limit:
+    if n > FWHT_LIMIT:
         raise CapabilityError(
-            f"n={n} exceeds FWHT limit {limit}: {tables} live int64 "
+            f"n={n} exceeds FWHT limit {FWHT_LIMIT}: {tables} live int64 "
             f"table(s) of 2^{n} entries would take {tables * 8 << n} bytes"
         )
 
 
-def indicator_table(formula, limit=FWHT_LIMIT):
+def indicator_table(formula):
     """DenseTable of the 0/1 solution indicator of `formula`."""
-    _check_size(formula.n, limit, 1)
+    _check_size(formula.n, 1)
     return DenseTable(formula.n, solution_indicator(formula).astype(np.int64))
 
 
@@ -93,9 +93,9 @@ def _fwht_inplace(v):
     return v
 
 
-def fwht(table, limit=FWHT_LIMIT):
+def fwht(table):
     """Walsh-Hadamard transform by the O(n 2^n) butterfly, exact int64."""
-    _check_size(table.n, limit, 1)
+    _check_size(table.n, 1)
     return DenseTable(table.n, _fwht_inplace(table.values.copy()))
 
 
@@ -110,30 +110,30 @@ def _inverse_counts(n, hat):
     return back
 
 
-def convolve(f, g, limit=FWHT_LIMIT):
+def convolve(f, g):
     """XOR convolution (f*g)(y) = sum_x f(x) g(x xor y), exact.
 
     With g the same table as f, f is transformed once and squared.
     """
     if f.n != g.n:
         raise ValueError("tables have different dimensions")
-    hat = fwht(f, limit).values
-    hat *= hat if g is f else fwht(g, limit).values
+    hat = fwht(f).values
+    hat *= hat if g is f else fwht(g).values
     return DenseTable(f.n, _inverse_counts(f.n, hat))
 
 
-def exact_diameter(formula, limit=FWHT_LIMIT):
+def exact_diameter(formula):
     """A solution pair at exactly the diameter of the solution space.
 
     Among positive entries of the self-convolution, the maximum-weight
     difference vector wins, ties going to the lexicographically
     smallest; the witness is the first x with f(x) = f(x xor y) = 1.
     """
-    _check_size(formula.n, limit, 4)
-    f = indicator_table(formula, limit)
+    _check_size(formula.n, 4)
+    f = indicator_table(formula)
     if not f.values.any():
         raise UnsatError("formula has no satisfying assignment")
-    conv = convolve(f, f, limit)
+    conv = convolve(f, f)
     if (conv.values < 0).any():
         raise AssertionError("pair counts must be nonnegative")
     positive = np.flatnonzero(conv.values > 0)
@@ -183,7 +183,7 @@ def _chunk_values(n, fb, fhat, offsets, objective, idx, pc):
     return vals
 
 
-def exact_dispersion(formula, s, objective, limit=FWHT_LIMIT):
+def exact_dispersion(formula, s, objective):
     """Exact optimum s-dispersion by iterating difference-vector cosets.
 
     For every offset tuple (w_1..w_{s-2}) the product table
@@ -205,8 +205,8 @@ def exact_dispersion(formula, s, objective, limit=FWHT_LIMIT):
         raise CapabilityError(
             f"(s-1)*n = {(s - 1) * n} exceeds work limit {DISPERSION_WORK_LIMIT}"
         )
-    _check_size(n, limit, 8)
-    f = indicator_table(formula, limit)
+    _check_size(n, 8)
+    f = indicator_table(formula)
     fb = f.values.astype(bool)
     num_solutions = int(f.values.sum())
     if num_solutions == 0:
@@ -221,7 +221,7 @@ def exact_dispersion(formula, s, objective, limit=FWHT_LIMIT):
         )
     idx = np.arange(1 << n)
     pc = popcount(idx)
-    fhat = fwht(f, limit).values
+    fhat = fwht(f).values
     # s = 2 has the one empty tuple and needs no difference set
     diffs = np.flatnonzero(_inverse_counts(n, fhat * fhat)).tolist() if s > 2 else []
     tuples = product(diffs, repeat=s - 2)

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cnf import Assignment, CapabilityError, CnfFormula
-
-MAX_KEY_BITS = 63  # assignment keys are int64
+from .cnf import Assignment, CnfFormula, check_key_width
 
 
 def random_kcnf(n, k, m, rng):
@@ -23,8 +21,7 @@ def random_kcnf(n, k, m, rng):
 
 
 def _random_key(n, rng):
-    if n > MAX_KEY_BITS:
-        raise CapabilityError(f"n={n} exceeds the {MAX_KEY_BITS}-bit key limit")
+    check_key_width(n)
     return int(rng.integers(1 << n))
 
 

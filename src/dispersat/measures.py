@@ -7,6 +7,8 @@ from enum import Enum
 
 import numpy as np
 
+from .cnf import check_key_width
+
 
 class DispersionObjective(Enum):
     MIN_PD = "min"
@@ -96,7 +98,9 @@ def best_index(scores, keys):
 
 
 def anchor_keys_of(n, anchors):
-    """Keys of a non-empty anchor list whose members all have length n."""
+    """Keys of a non-empty anchor list whose members all have length n,
+    refused above the int64 key width."""
+    check_key_width(n)
     anchors = list(anchors)
     if not anchors:
         raise ValueError("anchor set must be non-empty")

@@ -16,8 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .cnf import Assignment, CapabilityError, condition, evaluate_keys
-from .generators import MAX_KEY_BITS
+from .cnf import Assignment, CapabilityError, check_key_width, condition, evaluate_keys
 from .measures import anchor_keys_of, farthest_index
 
 _MASK64 = (1 << 64) - 1
@@ -54,10 +53,15 @@ class OracleConfig:
         auto = math.ceil(self.effort * 4 * n * n * growth)
         return max(1, min(auto, HARD_REPETITION_CAP))
 
+    def seed_sequence(self, *salt):
+        """The seeded stream named by `salt`: the one way every seeded
+        block, restart and derived config is drawn from the seed."""
+        return np.random.SeedSequence([self.seed & _MASK64, *salt])
+
     def spawn(self, *salt):
         """Derived config with an independent seed; used for retries and
         per-step oracle calls so reruns never replay the same stream."""
-        seq = np.random.SeedSequence([self.seed & _MASK64, *salt])
+        seq = self.seed_sequence(*salt)
         return replace(self, seed=int(seq.generate_state(1, np.uint64)[0]))
 
 
@@ -166,30 +170,26 @@ class _Engine:
         return true.astype(np.int64), (sat != 0).all(axis=0)
 
 
-def _engine(formula):
-    if formula.n > MAX_KEY_BITS:
-        raise CapabilityError(
-            f"the PPZ engine packs keys in int64; n={formula.n} > {MAX_KEY_BITS}"
-        )
-    eng = getattr(formula, "_ppz_engine", None)
-    if eng is None:
-        eng = _Engine(formula)
-        formula._ppz_engine = eng
-    return eng
+def packed_engine(formula, cls):
+    """`cls(formula)`, built once per formula: the PPZ `_Engine` or the
+    Schoening `_Walker`, which both hold a key in one int64."""
+    check_key_width(formula.n)
+    engines = vars(formula).setdefault("_engines", {})
+    if cls not in engines:
+        engines[cls] = cls(formula)
+    return engines[cls]
 
 
 def _batches(formula, cfg, total, cuts=(_BATCH,)):
     """Yield (keys, satisfied, start_index) for `total` seeded samples;
     each seeded block of _BATCH samples is run in segments ending at
     `cuts`, so a caller can stop early without changing the stream."""
-    eng = _engine(formula)
+    eng = packed_engine(formula, _Engine)
     n = formula.n
     base = np.tile(np.arange(1, n + 1, dtype=np.int64), (_BATCH, 1))
     for batch_index, done in enumerate(range(0, total, _BATCH)):
         take = min(_BATCH, total - done)
-        gen = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed & _MASK64, batch_index])
-        )
+        gen = np.random.default_rng(cfg.seed_sequence(batch_index))
         ys = gen.integers(0, 2, size=(_BATCH, n), dtype=np.uint8)
         pis = gen.permuted(base, axis=1)
         lo = 0
@@ -205,7 +205,7 @@ def tau_histogram(formula):
     n = formula.n
     if n > TAU_LIMIT:
         raise CapabilityError(f"tau_exact enumerates 2^n * n!; n={n} > {TAU_LIMIT}")
-    eng = _engine(formula)
+    eng = packed_engine(formula, _Engine)
     perms = np.array(list(permutations(range(1, n + 1))), dtype=np.int64)
     ys_all = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     counts = np.zeros(1 << n, dtype=np.int64)

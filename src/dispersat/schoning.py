@@ -18,12 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cnf import Assignment, CapabilityError
-from .generators import MAX_KEY_BITS
+from .cnf import Assignment, CapabilityError, check_key_width
 from .measures import anchor_keys_of, farthest_index, popcount
-from .ppz import HARD_REPETITION_CAP, word_for
+from .ppz import HARD_REPETITION_CAP, packed_engine, word_for
 
-_MASK64 = (1 << 64) - 1
 _TASK_BLOCK = 1 << 9  # anchored tasks per seeded block (seed format 2)
 _WALK_CHUNK = 1 << 11  # walks per engine run; bounds memory, not the stream
 
@@ -37,12 +35,12 @@ def entropy(x):
     return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
 
-def inverse_entropy(y, tol=1e-12):
+def inverse_entropy(y):
     """The unique x in [0, 1/2] with H(x) = y, by bisection."""
     if not 0 <= y <= 1:
         raise ValueError("inverse entropy argument must lie in [0, 1]")
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = (lo + hi) / 2
         if entropy(mid) < y:
             lo = mid
@@ -197,17 +195,6 @@ class _Walker:
         return x.astype(np.int64), ok
 
 
-def _walker(formula):
-    if formula.n > MAX_KEY_BITS:
-        raise CapabilityError(
-            f"Schoening walks pack keys in int64; n={formula.n} > {MAX_KEY_BITS}"
-        )
-    eng = getattr(formula, "_walk_engine", None)
-    if eng is None:
-        eng = formula._walk_engine = _Walker(formula)
-    return eng
-
-
 def schoning_walk(formula, z, steps, rng):
     """Random walk: up to `steps` flips of a literal of the first violated
     clause; returns the first satisfying assignment reached.
@@ -220,7 +207,7 @@ def schoning_walk(formula, z, steps, rng):
         raise ValueError("steps must be >= 0")
     u = rng.random(steps) if isinstance(rng, np.random.Generator) else rng
     n, key = formula.n, z.key
-    masks = _walker(formula).masks
+    masks = packed_engine(formula, _Walker).masks
     for flips_done in range(steps + 1):
         for ci, (var, neg) in enumerate(masks):
             if not (key ^ neg) & var:
@@ -253,8 +240,7 @@ def local_search(formula, y, t, plan, rng):
 @functools.cache
 def _binomial_prefix(n):
     """P[x] = sum of C(n, j) for j < x, x = 0..n+1, as uint64."""
-    if n > MAX_KEY_BITS:
-        raise CapabilityError(f"annulus keys are int64; n={n} > {MAX_KEY_BITS}")
+    check_key_width(n)
     prefix = np.array(
         [0] + list(itertools.accumulate(math.comb(n, x) for x in range(n + 1))),
         dtype=np.uint64,
@@ -336,9 +322,7 @@ def _task_blocks(n, plan, cfg, centers, r_first):
         center = (task - ends[row] + counts[row]) // reps[row]
         lo = np.maximum(r[row] - t[row], 0)
         hi = np.minimum(r[row] + t[row], n)
-        gen = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed & _MASK64, block])
-        )
+        gen = np.random.default_rng(cfg.seed_sequence(block))
         yield _annulus_keys(gen, n, centers[center], lo, hi), t[row], gen
 
 
@@ -349,7 +333,7 @@ def _walk_search(formula, plan):
     and returns its first satisfying walk, as local_search does.  Walks
     go to the engine _WALK_CHUNK at a time; a task that has succeeded
     skips its later walks, whose uniforms are still drawn."""
-    eng = _walker(formula)
+    eng = packed_engine(formula, _Walker)
     walks_of = np.array([plan.walks(t) for t in range(plan.R + 1)])
     length_of = np.array([plan.walk_length(t) for t in range(plan.R + 1)])
 
@@ -433,11 +417,10 @@ def schoning_farthest_sum(formula, anchors, plan, cfg):
 def schoning_solve_counted(formula, cfg):
     """(solution or None, restarts consumed)."""
     n = formula.n
+    check_key_width(n)
     total = cfg.budget(n, (2 * (1 - 1 / max(formula.k, 2))) ** n)
     for i in range(total):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed & _MASK64, i])
-        )
+        rng = np.random.default_rng(cfg.seed_sequence(i))
         start = Assignment(n, int(rng.integers(1 << n)))
         out = schoning_walk(formula, start, 3 * n, rng)
         if out is not None:

@@ -61,9 +61,10 @@ class TestTransform:
         t = DenseTable(6, v)
         assert (fwht(fwht(t)).values == 64 * v).all()
 
-    def test_limit(self):
+    def test_limit(self, monkeypatch):
+        monkeypatch.setattr(fwht_module, "FWHT_LIMIT", 2)
         with pytest.raises(CapabilityError):
-            fwht(DenseTable(3, [0] * 8), limit=2)
+            fwht(DenseTable(3, [0] * 8))
 
 
 class TestConvolve:
@@ -354,7 +355,7 @@ class TestFailFast:
         for name in ("ones", "zeros", "empty", "arange"):
             monkeypatch.setattr(np, name, refuse)
 
-    def test_refused_without_allocating(self, no_tables):
+    def test_refused_without_allocating(self, no_tables, monkeypatch):
         big = CnfFormula(27, [(1, 2)])
         with pytest.raises(CapabilityError):
             indicator_table(big)
@@ -362,8 +363,9 @@ class TestFailFast:
             exact_diameter(big)
         with pytest.raises(CapabilityError):
             exact_dispersion(CnfFormula(25, []), 2, DispersionObjective.MIN_PD)
+        monkeypatch.setattr(fwht_module, "FWHT_LIMIT", 11)
         with pytest.raises(CapabilityError):
-            exact_dispersion(CnfFormula(12, []), 2, DispersionObjective.SUM_PD, limit=11)
+            exact_dispersion(CnfFormula(12, []), 2, DispersionObjective.SUM_PD)
         with pytest.raises(CapabilityError):
             exact_dispersion(CnfFormula(9, []), 4, DispersionObjective.SUM_PD)
 

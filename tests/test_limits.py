@@ -1,0 +1,109 @@
+"""Size limits: an instance past the 63-bit key width is refused with
+CapabilityError by every public entry point, and no invariant of the
+library is an `assert` statement that `python -O` would strip."""
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import dispersat
+from dispersat.brute import enumerate_solutions
+from dispersat.cnf import Assignment, CapabilityError, CnfFormula
+from dispersat.dispersion import gonzalez_min, ppz_min_oracle, ppz_seeder
+from dispersat.fwht import exact_diameter, exact_dispersion
+from dispersat.generators import planted_kcnf, random_kcnf
+from dispersat.measures import DispersionObjective
+from dispersat.ppz import (
+    OracleConfig,
+    ppz_farthest_min,
+    ppz_farthest_sum,
+    ppz_solve,
+    tau_exact,
+)
+from dispersat.schoning import (
+    BudgetPlan,
+    sample_annulus,
+    schoning_farthest_sum,
+    schoning_farthest_weighted,
+    schoning_solve_counted,
+    schoning_walk,
+)
+from dispersat.subsets import SetFamily, diverse_min, hitting_set_system
+
+F64 = CnfFormula(64, [(1, 2), (3, -4)])
+CFG = OracleConfig(seed=1, repetitions=8)
+TOP = Assignment(64, 2**63 + 5)  # a key that does not fit an int64
+PLAN = BudgetPlan(64, Fraction(1, 2), 1, 2)
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+ENTRY_POINTS = {
+    "enumerate_solutions": lambda: enumerate_solutions(F64),
+    "exact_diameter": lambda: exact_diameter(F64),
+    "exact_dispersion": lambda: exact_dispersion(F64, 2, DispersionObjective.MIN_PD),
+    "ppz_solve": lambda: ppz_solve(F64, CFG),
+    "ppz_farthest_sum": lambda: ppz_farthest_sum(F64, [TOP], CFG),
+    "ppz_farthest_sum_exclude": lambda: ppz_farthest_sum(F64, [TOP], CFG, exclude=True),
+    "ppz_farthest_min": lambda: ppz_farthest_min(F64, [TOP], CFG),
+    "tau_exact": lambda: tau_exact(F64, [TOP]),
+    "schoning_solve_counted": lambda: schoning_solve_counted(F64, CFG),
+    "schoning_farthest_sum": lambda: schoning_farthest_sum(F64, [TOP], PLAN, CFG),
+    "schoning_farthest_weighted": lambda: schoning_farthest_weighted(
+        F64, [TOP], 0, PLAN, CFG
+    ),
+    "sample_annulus": lambda: sample_annulus(TOP, 1, 2, _rng()),
+    "schoning_walk": lambda: schoning_walk(F64, TOP, 5, _rng()),
+    "gonzalez_min_ppz": lambda: gonzalez_min(
+        F64, 2, ppz_min_oracle(CFG), ppz_seeder(CFG)
+    ),
+    "diverse_min": lambda: diverse_min(
+        hitting_set_system(SetFamily.from_lists(64, [(1, 2), (3, 64)])),
+        2,
+        Fraction(1, 2),
+        CFG,
+    ),
+    "planted_kcnf": lambda: planted_kcnf(64, 3, 10, _rng()),
+    "random_kcnf": lambda: random_kcnf(64, 3, 10, _rng()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_n64_answers_or_refuses(name):
+    """n = 64 gives an answer or CapabilityError, never a numpy or
+    overflow error from a key that does not fit an int64."""
+    try:
+        ENTRY_POINTS[name]()
+    except CapabilityError:
+        pass
+
+
+def test_ppz_farthest_min_refuses_a_64_bit_anchor():
+    with pytest.raises(CapabilityError):
+        ppz_farthest_min(F64, [TOP], CFG)
+
+
+def test_schoning_solve_refuses_64_bits():
+    with pytest.raises(CapabilityError):
+        schoning_solve_counted(F64, CFG)
+
+
+def test_n63_still_runs():
+    f = CnfFormula(63, [(1, 2), (3, -4)])
+    top = Assignment(63, 2**63 - 1)
+    assert ppz_farthest_sum(f, [top], CFG, exclude=True) is not None
+    assert schoning_solve_counted(f, CFG)[0] is not None
+
+
+def test_no_assert_statements():
+    """Invariants raise explicitly, so they survive `python -O`."""
+    found = []
+    for path in sorted(Path(dispersat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found

@@ -13,9 +13,10 @@ from dispersat.ppz import (
     OracleConfig,
     PpzSample,
     _ball_masks,
+    _Engine,
     _batches,
-    _engine,
     ball_radius,
+    packed_engine,
     ppz_farthest_min,
     ppz_farthest_sum,
     ppz_modify,
@@ -75,7 +76,7 @@ class TestModify:
 def engine_keys(f, samples):
     ys = np.array([s.y.bits for s in samples], dtype=np.uint8).reshape(len(samples), f.n)
     pis = np.array([s.pi for s in samples], dtype=np.int64).reshape(len(samples), f.n)
-    return _engine(f).run(ys, pis)
+    return packed_engine(f, _Engine).run(ys, pis)
 
 
 def random_samples(rng, n, count):
@@ -137,7 +138,7 @@ class TestEngine:
 
     def test_n64_refused(self):
         with pytest.raises(CapabilityError):
-            _engine(CnfFormula(64, [(1, 64)]))
+            packed_engine(CnfFormula(64, [(1, 64)]), _Engine)
         assert ppz_solve(CnfFormula(63, [(1, -63)]), OracleConfig(seed=1)) is not None
 
 

@@ -496,7 +496,7 @@ class TestWalkEngine:
         starts = [rng.randrange(1 << n) for _ in range(walks)]
         lengths = [rng.randint(0, 6) for _ in range(walks)]
         uniforms = np.random.default_rng(rng.randrange(2**32)).random((walks, 6))
-        ends, ok = schoning._walker(f).run(
+        ends, ok = ppz.packed_engine(f, schoning._Walker).run(
             np.array(starts, dtype=np.int64), np.array(lengths), uniforms
         )
         hits = 0
@@ -526,7 +526,7 @@ class TestWalkEngine:
 
     def test_packed_word_is_narrowest(self):
         for n, word in ((7, np.uint8), (8, np.uint8), (9, np.uint16), (33, np.uint64)):
-            assert schoning._walker(CnfFormula(n, [(1,)])).word is word
+            assert ppz.packed_engine(CnfFormula(n, [(1,)]), schoning._Walker).word is word
 
     def test_block_search_matches_local_search_rule(self):
         rng = random.Random(52)
