@@ -31,7 +31,8 @@ def enumerate_solutions(formula, limit=None):
     n = formula.n
     if n > limit:
         raise CapabilityError(
-            f"n={n} exceeds enumeration limit {limit}; raise `limit` explicitly"
+            f"n={n} exceeds enumeration limit {limit}; only `enumerate --limit` "
+            "can raise it"
         )
     keys = np.flatnonzero(solution_indicator(formula)).tolist()
     return SolutionCollection(

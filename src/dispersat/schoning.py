@@ -18,9 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import ppz
 from .cnf import Assignment, CapabilityError, check_key_width
 from .measures import anchor_keys_of, farthest_index, popcount
-from .ppz import HARD_REPETITION_CAP, packed_engine, word_for
+from .ppz import packed_engine, word_for
 
 _TASK_BLOCK = 1 << 9  # anchored tasks per seeded block (seed format 2)
 _WALK_CHUNK = 1 << 11  # walks per engine run; bounds memory, not the stream
@@ -288,13 +289,13 @@ def _schedule(plan, effort, r_first):
 def anchored_walks(plan, effort, starts, r_first=1):
     """Walks an anchored search plans around `starts` centers, starts x
     sum over r of repetitions(r) ceil(c^t); CapabilityError above
-    HARD_REPETITION_CAP."""
+    ppz.HARD_REPETITION_CAP, read at call time."""
     sched = _schedule(plan, effort, r_first)
     walks = starts * sum(reps * plan.walks(t) for _, t, reps in sched)
-    if walks > HARD_REPETITION_CAP:
+    if walks > ppz.HARD_REPETITION_CAP:
         raise CapabilityError(
             f"the anchored search would run {walks} walks (n={plan.n}), "
-            f"above the cap of {HARD_REPETITION_CAP}"
+            f"above the cap of {ppz.HARD_REPETITION_CAP}"
         )
     return walks
 

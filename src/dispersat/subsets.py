@@ -9,6 +9,7 @@ search replaces the CNF walk.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,9 +23,14 @@ from .cnf import (
     ParseError,
     PartialSetError,
     UnsatError,
+    check_key_width,
 )
 from .dispersion import FarthestOracle, gonzalez_min
+from .measures import popcount
+from .ppz import packed_engine
 from .schoning import BudgetPlan, anchored_farthest_min, weight_window
+
+_NODE_CHUNK = 1 << 11  # nodes per set test; bounds memory, not the search
 
 
 @dataclass(frozen=True)
@@ -133,12 +139,14 @@ def reduce_hitting_set(family):
 @dataclass(frozen=True)
 class ImplicitSetSystem:
     """n, a feasibility predicate on subsets of [n], an optional monotone
-    extension search (A, t) -> feasible superset within t additions, and
-    a hereditary declaration (supersets of feasible sets are feasible)."""
+    extension search (A, t) -> feasible superset within t additions, its
+    optional packed block search (see _extension_search), and a
+    hereditary declaration (supersets of feasible sets are feasible)."""
 
     n: int
     feasible: object
     monotone_search: object = None
+    packed_search: object = None
     hereditary: bool = False
     c: Fraction = Fraction(2)  # branching base of the extension search
 
@@ -163,11 +171,89 @@ def hitting_set_monotone_search(family, base, t):
     return base
 
 
+class _Extender:
+    """Packed hitting_set_monotone_search over a block of starts, one
+    int64 key per node of the branch trees.
+
+    Row i < m of the tables is set i: `mask[i]` has its elements
+    (element e is bit n - e, as in keys), `elems[i, j]` its j-th
+    smallest one and `width[i]` its size.  Row m is an empty set that no
+    key hits, so the first set a key misses is the argmax of
+    `(key & mask) == 0`, and it is m exactly when the key hits them all.
+    """
+
+    def __init__(self, family):
+        n = family.n
+        bits = [[1 << (n - e) for e in sorted(s)] for s in family.sets] + [[]]
+        self.mask = np.array([sum(row) for row in bits], dtype=np.int64)
+        self.width = np.array([len(row) for row in bits], dtype=np.intp)
+        self.elems = np.zeros((len(bits), max(family.d, 1)), dtype=np.int64)
+        for i, row in enumerate(bits):
+            self.elems[i, : len(row)] = row
+
+    def first_missed(self, keys):
+        """Index of the first set each key misses (m if none), computed
+        _NODE_CHUNK keys at a time."""
+        first = np.empty(len(keys), dtype=np.intp)
+        for lo in range(0, len(keys), _NODE_CHUNK):
+            miss = (keys[lo : lo + _NODE_CHUNK, None] & self.mask) == 0
+            first[lo : lo + _NODE_CHUNK] = miss.argmax(axis=1)
+        return first
+
+    def run(self, keys, t):
+        """Task i's extension of keys[i] within t[i] additions, as
+        hitting_set_monotone_search finds it: (int64 keys, hit).
+
+        The branch trees grow level by level, children in node order and
+        then element order, so each level lists a task's nodes in
+        depth-first preorder.  A task keeps only the nodes before its
+        first feasible node of the level and records that node; every
+        record therefore precedes the earlier ones in preorder, and the
+        last one is the first feasible node of the depth-first search.
+        """
+        out = np.zeros(len(keys), dtype=np.int64)
+        hit = np.zeros(len(keys), dtype=bool)
+        node, task = keys, np.arange(len(keys))
+        for depth in itertools.count():
+            first = self.first_missed(node)
+            done = np.flatnonzero(first == len(self.mask) - 1)
+            done = done[np.diff(task[done], prepend=-1) != 0]  # first per task
+            out[task[done]], hit[task[done]] = node[done], True
+            cut = np.full(len(keys), len(node))
+            cut[task[done]] = done
+            keep = (np.arange(len(node)) < cut[task]) & (depth < t[task])
+            if not keep.any():
+                return out, hit
+            node, task, first = node[keep], task[keep], first[keep]
+            width = self.width[first]
+            real = np.arange(self.elems.shape[1]) < width[:, None]
+            node = (node[:, None] | self.elems[first])[real]
+            task = np.repeat(task, width)
+
+
+def _extension_search(family):
+    """The anchored search's block search for hitting sets of `family`:
+    `search(keys, t, gen)` -> (int64 keys, hit) extends every start
+    keys[i] within t[i] additions, as hitting_set_monotone_search does,
+    and draws nothing from gen.  A tree of depth t has at most
+    d^t <= ceil(c^t) leaves, the count the anchored cap charges per
+    task.  The tables are built on first use, once per family."""
+
+    def search(keys, t, gen):
+        out, hit = packed_engine(family, _Extender).run(keys, t)
+        if ((out & keys) != keys)[hit].any() or (popcount(out ^ keys) > t)[hit].any():
+            raise AssertionError("extension left its cone")
+        return out, hit
+
+    return search
+
+
 def hitting_set_system(family):
     return ImplicitSetSystem(
         n=family.n,
         feasible=lambda a: all(s & a for s in family.sets),
         monotone_search=lambda a, t: hitting_set_monotone_search(family, a, t),
+        packed_search=_extension_search(family),
         hereditary=True,
         c=Fraction(max(family.d, 2)),
     )
@@ -205,17 +291,14 @@ def _set_to_assignment(n, subset):
     return Assignment(n, key)
 
 
-def _key_to_set(n, key):
+def _assignment_to_set(z):
     members = []
+    key = z.key
     while key:
         low = key & -key
-        members.append(n + 1 - low.bit_length())
+        members.append(z.n + 1 - low.bit_length())
         key ^= low
     return frozenset(members)
-
-
-def _assignment_to_set(z):
-    return _key_to_set(z.n, z.key)
 
 
 def minimum_feasible_weight(system):
@@ -231,33 +314,26 @@ def minimum_feasible_weight(system):
 def diverse_min(system, s, delta, cfg):
     """s dispersed feasible sets, each of size at most (1+delta) OPT.
 
-    The CNF anchored machinery runs unchanged with the system's PLFS,
-    one call per task, in place of the walks: anchors are the current
+    The CNF anchored machinery runs unchanged with the system's packed
+    extension search in place of the walks: anchors are the current
     sets plus the empty set, starts come from the anchored search's
     block sampler, and the exact-weight target is OPT, so
     qualifying outputs stay near-minimum while min-distance is pushed up.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
+    if system.packed_search is None:
+        raise CapabilityError("system has no packed extension search")
     n = system.n
-    plfs = plfs_from_monotone(system)
+    check_key_width(n)  # before the deepening, which grows as d^OPT
     opt, witness = minimum_feasible_weight(system)
     delta = Fraction(delta)
     plan = BudgetPlan(n, delta, 1, system.c)
     window = weight_window(delta, opt)
 
-    def search(keys, t, gen):
-        out = np.zeros(len(keys), dtype=np.int64)
-        hit = np.zeros(len(keys), dtype=bool)
-        for i, (key, ti) in enumerate(zip(keys.tolist(), t.tolist())):
-            found = plfs(_key_to_set(n, key), ti)
-            if found is not None:
-                out[i], hit[i] = _set_to_assignment(n, found).key, True
-        return out, hit
-
     def fn(formula, anchors, salt):
         return anchored_farthest_min(
-            n, anchors, plan, cfg.spawn(2, *salt), search, window
+            n, anchors, plan, cfg.spawn(2, *salt), system.packed_search, window
         )
 
     oracle = FarthestOracle("min", fn)

@@ -81,6 +81,19 @@ class TestTooLarge:
         assert data["status"] == "TOO_LARGE"
         assert "above the cap" in data["message"]
 
+    def test_exact_disperse_refusal_names_the_option(self, tmp_path, capsys):
+        """`disperse` has no `--limit`; the refusal points at the one
+        command that has."""
+        path = tmp_path / "n30.cnf"
+        path.write_text("p cnf 30 1\n1 2 0\n")
+        code = run(["disperse", "--s", "3", "--algo", "exact", str(path)])
+        data = capture(capsys)
+        assert code == 1
+        assert data["status"] == "TOO_LARGE"
+        assert "n=30 exceeds enumeration limit 24" in data["message"]
+        assert "raise `limit` explicitly" not in data["message"]
+        assert "`enumerate --limit`" in data["message"]
+
     @pytest.mark.parametrize("command", ["disperse", "diameter"])
     def test_schoening_anchored_search_above_cap(self, tmp_path, capsys, command):
         formula, _ = planted_kcnf(40, 3, 160, np.random.default_rng(0))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dispersat
+from dispersat import subsets
 from dispersat.brute import enumerate_solutions
 from dispersat.cnf import Assignment, CapabilityError, CnfFormula
 from dispersat.dispersion import gonzalez_min, ppz_min_oracle, ppz_seeder
@@ -31,7 +32,13 @@ from dispersat.schoning import (
     schoning_solve_counted,
     schoning_walk,
 )
-from dispersat.subsets import SetFamily, diverse_min, hitting_set_system
+from dispersat.subsets import (
+    Graph,
+    SetFamily,
+    diverse_min,
+    hitting_set_system,
+    vertex_cover_system,
+)
 
 F64 = CnfFormula(64, [(1, 2), (3, -4)])
 CFG = OracleConfig(seed=1, repetitions=8)
@@ -68,6 +75,12 @@ ENTRY_POINTS = {
         Fraction(1, 2),
         CFG,
     ),
+    "diverse_min_vertex_cover": lambda: diverse_min(
+        vertex_cover_system(Graph.from_edges(64, [(1, 2), (2, 64), (63, 64)])),
+        2,
+        Fraction(1, 2),
+        CFG,
+    ),
     "planted_kcnf": lambda: planted_kcnf(64, 3, 10, _rng()),
     "random_kcnf": lambda: random_kcnf(64, 3, 10, _rng()),
 }
@@ -91,6 +104,26 @@ def test_ppz_farthest_min_refuses_a_64_bit_anchor():
 def test_schoning_solve_refuses_64_bits():
     with pytest.raises(CapabilityError):
         schoning_solve_counted(F64, CFG)
+
+
+def test_packed_extension_search_refuses_64_bits():
+    """The hitting-set tables refuse n = 64 before building an int64 mask."""
+    system = vertex_cover_system(Graph.from_edges(64, [(1, 64)]))
+    keys = np.zeros(1, dtype=np.int64)
+    with pytest.raises(CapabilityError, match="n=64 exceeds the 63-bit key limit"):
+        system.packed_search(keys, np.ones(1, dtype=np.int64), None)
+
+
+def test_diverse_min_refuses_64_bits_before_the_deepening(monkeypatch):
+    """A 64-vertex path has OPT = 32; its deepening would take hours."""
+
+    def deepen(system):
+        raise AssertionError("the deepening ran before the key-width check")
+
+    monkeypatch.setattr(subsets, "minimum_feasible_weight", deepen)
+    path = Graph.from_edges(64, [(v, v + 1) for v in range(1, 64)])
+    with pytest.raises(CapabilityError, match="n=64 exceeds the 63-bit key limit"):
+        diverse_min(vertex_cover_system(path), 2, Fraction(1, 2), CFG)
 
 
 def test_n63_still_runs():

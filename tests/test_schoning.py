@@ -701,9 +701,9 @@ class TestAnchoredCap:
         )
         assert walks == 2 * per_start == 2 * 928
         cfg = OracleConfig(seed=2)
-        monkeypatch.setattr(schoning, "HARD_REPETITION_CAP", walks)
+        monkeypatch.setattr(ppz, "HARD_REPETITION_CAP", walks)
         assert schoning_farthest_weighted(f, [A("1111111111")], 0, plan, cfg)
-        monkeypatch.setattr(schoning, "HARD_REPETITION_CAP", walks - 1)
+        monkeypatch.setattr(ppz, "HARD_REPETITION_CAP", walks - 1)
         with pytest.raises(CapabilityError, match=f"{walks} walks"):
             schoning_farthest_weighted(f, [A("1111111111")], 0, plan, cfg)
 

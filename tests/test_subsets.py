@@ -1,9 +1,14 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from dispersat import subsets
 from dispersat.brute import enumerate_solutions
 from dispersat.cnf import CapabilityError, ParseError
 from dispersat.measures import min_pairwise_distance
@@ -23,6 +28,7 @@ from dispersat.subsets import (
     reduce_vertex_cover,
     vertex_cover_system,
     _assignment_to_set,
+    _set_to_assignment,
 )
 
 TRIANGLE = Graph.from_edges(3, [(1, 2), (2, 3), (1, 3)])
@@ -165,6 +171,111 @@ class TestMonotoneSearch:
                 assert all(s & found for s in fam.sets)
 
 
+def odd_family(rng, n):
+    """A random family of up to 4-element sets, with its singleton sets
+    and a duplicate set more likely than random_family makes them."""
+    sets = [
+        rng.sample(range(1, n + 1), min(rng.choice((1, 1, 2, 3, 4)), n))
+        for _ in range(rng.randint(1, min(2 * n, 20)))
+    ]
+    sets.append(list(rng.choice(sets)))
+    rng.shuffle(sets)
+    return SetFamily.from_lists(n, sets)
+
+
+class TestPackedExtensionSearch:
+    """The packed block search finds what hitting_set_monotone_search
+    finds, start by start, bit for bit."""
+
+    def check_block(self, family, bases, ts):
+        n = family.n
+        keys = np.array([_set_to_assignment(n, b).key for b in bases], dtype=np.int64)
+        search = hitting_set_system(family).packed_search
+        out, hit = search(keys, np.array(ts, dtype=np.int64), None)
+        hits = 0
+        for i, (base, t) in enumerate(zip(bases, ts)):
+            want = hitting_set_monotone_search(family, base, t)
+            assert bool(hit[i]) == (want is not None)
+            if want is not None:
+                assert int(out[i]) == _set_to_assignment(n, want).key
+                hits += 1
+        return hits
+
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    def test_matches_recursive_search(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(subsets, "_NODE_CHUNK", chunk)
+        rng = random.Random(64)
+        hits = starts = 0
+        for n in [*range(1, 15)] * 12 + [62, 63] * 6:
+            family = odd_family(rng, n)
+            bases = [
+                frozenset(rng.sample(range(1, n + 1), rng.randint(0, min(n, 3))))
+                for _ in range(rng.randint(1, 12))
+            ]
+            ts = [rng.randint(0, 4) for _ in bases]
+            hits += self.check_block(family, bases, ts)
+            starts += len(bases)
+        assert 0.2 * starts < hits < 0.9 * starts  # feasible and infeasible starts
+
+    @pytest.mark.parametrize("n", [1, 5, 63])
+    def test_empty_family(self, n):
+        family = SetFamily.from_lists(n, [])
+        bases = [frozenset(), frozenset({1}), frozenset({n})]
+        assert self.check_block(family, bases, [0, 2, 4]) == 3
+
+    def test_singletons_and_duplicates(self):
+        family = SetFamily.from_lists(6, [[2], [1, 3], [2], [1, 3], [4, 5, 6], [6]])
+        bases = [frozenset(), frozenset({2}), frozenset({2, 6}), frozenset({1, 6})]
+        for t in range(5):
+            self.check_block(family, bases, [t] * len(bases))
+        assert self.check_block(family, [frozenset()], [2]) == 0
+        assert self.check_block(family, [frozenset()], [3]) == 1
+
+    def test_cone_escape_raises_under_python_O(self):
+        script = """
+import numpy as np
+from fractions import Fraction
+from dispersat import subsets
+from dispersat.ppz import OracleConfig
+
+def outside(self, keys, t):
+    return keys ^ 1, np.ones(len(keys), dtype=bool)
+
+subsets._Extender.run = outside
+family = subsets.SetFamily.from_lists(4, [[1, 2], [3, 4]])
+try:
+    subsets.diverse_min(
+        subsets.hitting_set_system(family), 2, Fraction(1, 2), OracleConfig(seed=3)
+    )
+except AssertionError as err:
+    print(err)
+"""
+        src = str(Path(subsets.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src},
+            timeout=120,
+        )
+        assert done.stdout.strip() == "extension left its cone", done.stderr
+
+    @pytest.mark.parametrize(
+        "escape",
+        [lambda keys: keys & (keys - 1), lambda keys: keys | 0b1111],
+        ids=["drops-a-start-element", "adds-more-than-t"],
+    )
+    def test_cone_escape_raises(self, monkeypatch, escape):
+        def run(self, keys, t):
+            return escape(keys), np.ones(len(keys), dtype=bool)
+
+        monkeypatch.setattr(subsets._Extender, "run", run)
+        search = hitting_set_system(SetFamily.from_lists(6, [[1]])).packed_search
+        with pytest.raises(AssertionError, match="extension left its cone"):
+            search(np.array([0b110000]), np.array([3]), None)
+
+
 class TestPlfs:
     def test_bridge_requires_hereditary(self):
         from dispersat.subsets import ImplicitSetSystem
@@ -205,6 +316,17 @@ class TestPlfs:
 
 
 class TestDiverseMin:
+    def test_requires_a_packed_search(self):
+        system = hitting_set_system(SetFamily.from_lists(3, [[1, 2]]))
+        bare = subsets.ImplicitSetSystem(
+            n=3,
+            feasible=system.feasible,
+            monotone_search=system.monotone_search,
+            hereditary=True,
+        )
+        with pytest.raises(CapabilityError, match="no packed extension search"):
+            diverse_min(bare, 2, Fraction(1, 2), OracleConfig(seed=1))
+
     def test_triangle_cover_pair(self):
         system = vertex_cover_system(TRIANGLE)
         out = diverse_min(system, 2, Fraction(1, 2), OracleConfig(seed=70, effort=2.0))
