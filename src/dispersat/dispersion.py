@@ -29,6 +29,7 @@ from .schoning import (
     schoning_farthest_sum,
     schoning_farthest_weighted,
     schoning_solve_counted,
+    schoning_weight_sweep,
 )
 
 MAX_RETRY_FACTOR = 3  # duplicate-rejection retries per insertion: 3 * s
@@ -92,9 +93,9 @@ def schoning_sum_oracle(plan, cfg):
 def schoning_weighted_min_oracle(plan, cfg, w, kind=WeightKind.AT_LEAST):
     """Min-flavored oracle over weight-constrained solutions.
 
-    Sweeps the exact-weight target W' upward over W..n (at-least) or
-    downward over 1..W (at-most) and keeps the best answer, so every
-    output weight stays within the (1 -+ delta) window of the bound.
+    Sweeps the exact-weight target W' over W..n (at-least) or 1..W
+    (at-most) in one pass and keeps the best answer, so every output
+    weight stays within the (1 -+ delta) window of the bound.
     The all-zeros assignment, whose exact-weight window degenerates, is
     tried directly in the at-most sweep.
     """
@@ -103,13 +104,9 @@ def schoning_weighted_min_oracle(plan, cfg, w, kind=WeightKind.AT_LEAST):
     def fn(formula, anchors, salt):
         n = formula.n
         targets = range(max(w, 1), n + 1) if at_least else range(1, w + 1)
-        candidates = []
-        for wp in targets:
-            out = schoning_farthest_weighted(
-                formula, anchors, wp, plan, cfg.spawn(1, wp, *salt)
-            )
-            if out is not None:
-                candidates.append(out)
+        cfgs = {wp: cfg.spawn(1, wp, *salt) for wp in targets}
+        out = schoning_weight_sweep(formula, anchors, plan, cfgs) if cfgs else None
+        candidates = [] if out is None else [out]
         if not at_least:
             zero = Assignment.zeros(n)
             if evaluate(formula, zero):

@@ -24,7 +24,7 @@ from .measures import anchor_keys_of, farthest_index, popcount
 from .ppz import packed_engine, word_for
 
 _TASK_BLOCK = 1 << 9  # anchored tasks per seeded block (seed format 2)
-_WALK_CHUNK = 1 << 11  # walks per engine run; bounds memory, not the stream
+_GROUP_WALKS = 3 << 10  # planned walks per packed group; bounds memory, not the stream
 
 
 def entropy(x):
@@ -151,8 +151,10 @@ class _Walker:
     bits (variable v is bit n - v, as in keys).  Clause c is violated
     when `(x ^ neg[c]) & var[c]` is zero: `var` masks its variables,
     `neg` those it negates.  `lits[c, j]` is the bit of its j-th
-    literal.  `masks` holds the same (var, neg) pairs as Python ints,
-    for the scalar walker.
+    literal and `width[c]` its length (row m: 0).  With `rank[c] = m - c`
+    in the narrowest type that holds m, the first violated clause is m
+    less the largest violated rank, m if none.  `masks` holds the
+    (var, neg) pairs as Python ints, for the scalar walker.
     """
 
     def __init__(self, formula):
@@ -163,10 +165,12 @@ class _Walker:
             (sum(row), sum(b for b, l in zip(row, c) if l < 0))
             for row, c in zip(bits, formula.clauses)
         ]
-        self.var = np.array([v for v, _ in self.masks], dtype=word)
-        self.neg = np.array([g for _, g in self.masks], dtype=word)
-        self.width = np.array([len(row) for row in bits], dtype=np.float64)
-        self.lits = np.zeros((len(bits), max(formula.k, 1)), dtype=word)
+        m = len(bits)
+        self.var = np.array([v for v, _ in self.masks], dtype=word)[:, None]
+        self.neg = np.array([g for _, g in self.masks], dtype=word)[:, None]
+        self.rank = np.arange(m, 0, -1, dtype=np.min_scalar_type(m))[:, None]
+        self.width = np.array([len(row) for row in bits] + [0], dtype=np.float64)
+        self.lits = np.zeros((m, max(formula.k, 1)), dtype=word)
         for ci, row in enumerate(bits):
             self.lits[ci, : len(row)] = row
 
@@ -177,21 +181,22 @@ class _Walker:
         end keys, satisfied), exactly as schoning_walk walks each."""
         x = starts.astype(self.word)
         ok = np.zeros(len(x), dtype=bool)
-        if not len(self.var):
+        m = len(self.var)
+        if not m:
             return x.astype(np.int64), ~ok
         live = np.arange(len(x))
         for step in range(uniforms.shape[1] + 1):
-            viol = x[live] ^ self.neg[:, None]
-            viol &= self.var[:, None]
+            viol = x[live] ^ self.neg
+            viol &= self.var
             viol = viol == 0
-            bad = viol.any(axis=0)
-            ok[live[~bad]] = True
-            clause = viol.argmax(axis=0)
-            go = bad & (step < lengths[live]) & (self.width[clause] > 0)
-            live, clause = live[go], clause[go]
+            clause = m - (viol * self.rank).max(axis=0).astype(np.intp)
+            ok[live[clause == m]] = True
+            width = self.width[clause]
+            go = (width > 0) & (step < lengths[live])
+            live, clause, width = live[go], clause[go], width[go]
             if not live.size:
                 break
-            pick = (uniforms[live, step] * self.width[clause]).astype(np.intp)
+            pick = (uniforms[live, step] * width).astype(np.intp)
             x[live] ^= self.lits[clause, pick]
         return x.astype(np.int64), ok
 
@@ -250,19 +255,30 @@ def _binomial_prefix(n):
     return prefix
 
 
-def _annulus_keys(gen, n, centers, lo, hi):
+def _annulus_keys(blocks, n, centers, lo, hi):
     """One uniform point per row of {x : lo <= d_H(x, center) <= hi},
-    as int64 keys; lo <= hi <= n per row.  The radius is drawn with the
-    exact integer weights C(n, radius); the coordinates that come first
-    in a uniform permutation of the n are then flipped."""
+    as int64 keys; lo <= hi <= n per row.  `blocks` lists (generator,
+    rows) pairs that cover the rows in order.  Each generator draws its
+    rows' radii, with the exact integer weights C(n, radius), and then
+    their uniform permutations of the n coordinates, of which the first
+    `radius` are flipped."""
     prefix = _binomial_prefix(n)
     base = prefix[lo]
-    draw = gen.integers(0, prefix[hi + 1] - base, dtype=np.uint64)
+    span = prefix[hi + 1] - base
+    draw = np.empty(len(centers), dtype=np.uint64)
+    word = word_for(n)
+    flips = np.empty((len(centers), n), dtype=word)
+    bit = np.array([1 << (n - 1 - j) for j in range(n)], dtype=word)
+    iota = np.arange(n)  # int64 rows: numpy's fast permuted path
+    at = 0
+    for gen, rows in blocks:
+        draw[at : at + rows] = gen.integers(0, span[at : at + rows], dtype=np.uint64)
+        order = gen.permuted(np.broadcast_to(iota, (rows, n)), axis=1)
+        np.take(bit, order, out=flips[at : at + rows])  # coordinate -> its key bit
+        at += rows
     radius = np.searchsorted(prefix, base + draw, side="right") - 1
-    order = gen.permuted(np.broadcast_to(np.arange(n), (len(centers), n)), axis=1)
-    bits = np.int64(1) << (n - 1 - order)
-    flips = np.where(np.arange(n) < radius[:, None], bits, 0)
-    return centers ^ np.bitwise_or.reduce(flips, axis=1)
+    flips *= iota < radius[:, None]
+    return centers ^ (flips @ np.ones(n, dtype=word)).astype(np.int64)  # sum = OR
 
 
 def sample_annulus(z, lo, hi, rng):
@@ -274,7 +290,7 @@ def sample_annulus(z, lo, hi, rng):
     if not 0 <= lo <= hi:
         raise ValueError("need 0 <= lo <= hi")
     rows = (np.array([v]) for v in (z.key, lo, min(hi, n)))
-    return Assignment(n, int(_annulus_keys(rng, n, *rows)[0]))
+    return Assignment(n, int(_annulus_keys([(rng, 1)], n, *rows)[0]))
 
 
 @functools.cache
@@ -284,6 +300,15 @@ def _schedule(plan, effort, r_first):
         (r, plan.walk_radius(r), plan.per_r_repetitions(r, effort))
         for r in range(r_first, plan.n + 1)
     )
+
+
+@functools.cache
+def _walk_tables(plan):
+    """Rows ceil(c^t) walks and ceil(alpha t) flips, t = 0..R, as int64."""
+    ts = range(plan.R + 1)
+    tables = np.array([[plan.walks(t) for t in ts], [plan.walk_length(t) for t in ts]])
+    tables.setflags(write=False)
+    return tables
 
 
 def anchored_walks(plan, effort, starts, r_first=1):
@@ -300,57 +325,34 @@ def anchored_walks(plan, effort, starts, r_first=1):
     return walks
 
 
-def _task_blocks(n, plan, cfg, centers, r_first):
-    """Seed format 2 of the anchored search.  The (r, center, repetition)
-    tasks, in that order, are cut into blocks of _TASK_BLOCK; block b
-    draws everything it uses from one generator seeded by (seed, b):
-    first each task's start in the annulus [r - t, r + t] around its
-    center, then whatever the search draws.  Yields (start keys, t,
-    generator) per block, once the whole plan has passed the cap."""
-    if plan.n != n:
-        raise ValueError(f"the plan is for n={plan.n}, the search for n={n}")
-    anchored_walks(plan, cfg.effort, len(centers), r_first)
-    sched = _schedule(plan, cfg.effort, r_first)
-    if not sched:
-        return
-    r, t, reps = (np.array(col, dtype=np.int64) for col in zip(*sched))
-    centers = np.array(centers, dtype=np.int64)
-    counts = reps * len(centers)
-    ends = np.cumsum(counts)
-    for block, first in enumerate(range(0, int(ends[-1]), _TASK_BLOCK)):
-        task = np.arange(first, min(first + _TASK_BLOCK, int(ends[-1])))
-        row = np.searchsorted(ends, task, side="right")
-        center = (task - ends[row] + counts[row]) // reps[row]
-        lo = np.maximum(r[row] - t[row], 0)
-        hi = np.minimum(r[row] + t[row], n)
-        gen = np.random.default_rng(cfg.seed_sequence(block))
-        yield _annulus_keys(gen, n, centers[center], lo, hi), t[row], gen
-
-
 def _walk_search(formula, plan):
     """The anchored search's block search by packed walks: task i runs
-    plan.walks(t_i) walks of plan.walk_length(t_i) flips from keys[i],
-    with one uniform per (walk, step) drawn in (task, walk, step) order,
-    and returns its first satisfying walk, as local_search does.  Walks
-    go to the engine _WALK_CHUNK at a time; a task that has succeeded
-    skips its later walks, whose uniforms are still drawn."""
+    plan.walks(t_i) walks of plan.walk_length(t_i) flips from keys[i]
+    and returns its first satisfying walk, as local_search does.  Each
+    (generator, rows) block draws the uniforms of its rows in one call,
+    one per (walk, step) in (task, walk, step) order.  Walks go to the
+    engine _GROUP_WALKS at a time; a task that has succeeded skips its
+    later walks."""
     eng = packed_engine(formula, _Walker)
-    walks_of = np.array([plan.walks(t) for t in range(plan.R + 1)])
-    length_of = np.array([plan.walk_length(t) for t in range(plan.R + 1)])
+    walks_of, length_of = _walk_tables(plan)
 
-    def search(keys, t, gen):
+    def search(keys, t, blocks):
+        first_rows = np.cumsum([0] + [rows for _, rows in blocks[:-1]])
+        draws = np.add.reduceat(walks_of[t] * length_of[t], first_rows).tolist()
+        u = np.concatenate([gen.random(k) for (gen, _), k in zip(blocks, draws)])
         task = np.repeat(np.arange(len(keys)), walks_of[t])
         lengths = length_of[t][task]
+        at = np.cumsum(lengths) - lengths  # where each walk's uniforms start in u
         out = np.zeros(len(keys), dtype=np.int64)
         hit = np.zeros(len(keys), dtype=bool)
-        for lo in range(0, len(task), _WALK_CHUNK):
-            tk, ln = task[lo : lo + _WALK_CHUNK], lengths[lo : lo + _WALK_CHUNK]
-            u = gen.random(int(ln.sum()))
-            at = np.cumsum(ln) - ln  # where each walk's uniforms start in u
-            live = ~hit[tk]
-            tk, ln, at = tk[live], ln[live], at[live]
-            steps = at[:, None] + np.arange(ln.max(initial=0))
-            ends, ok = eng.run(keys[tk], ln, u[np.minimum(steps, max(u.size - 1, 0))])
+        for lo in range(0, len(task), _GROUP_WALKS):
+            tk, ln, a = (v[lo : lo + _GROUP_WALKS] for v in (task, lengths, at))
+            if lo:
+                live = ~hit[tk]
+                tk, ln, a = tk[live], ln[live], a[live]
+            steps = a[:, None] + np.arange(ln.max(initial=0))
+            np.minimum(steps, max(u.size - 1, 0), out=steps)
+            ends, ok = eng.run(keys[tk], ln, u[steps])
             tk, ends = tk[ok], ends[ok]
             first = np.diff(tk, prepend=-1) != 0  # walks run in task order
             out[tk[first]], hit[tk[first]] = ends[first], True
@@ -361,17 +363,68 @@ def _walk_search(formula, plan):
     return search
 
 
-def _anchored_argmax(n, plan, cfg, centers, r_first, search, anchor_keys, reduce, window):
-    """Runs `search(keys, t, gen)` -> (out keys, hit) over the anchored
-    tasks (see _task_blocks).  Of the hits whose weight lies in the
-    integer `window`, returns the farthest from `anchor_keys` by `reduce`
-    (see `farthest_index`), even at distance 0."""
-    lo_w, hi_w = window
+def _anchored_argmax(n, plan, runs, centers, r_first, search, anchor_keys, reduce):
+    """The anchored search over every (cfg, window) of `runs`, which
+    share one effort: of the hits of `search(keys, t, blocks)` -> (out
+    keys, hit) whose weight lies in their run's window, the farthest
+    from `anchor_keys` by `reduce` (see farthest_index), even at 0.
+
+    Seed format 2: a run's (r, center, repetition) tasks, in that order,
+    are cut into blocks of _TASK_BLOCK.  Block b draws from one generator
+    seeded by cfg.seed_sequence(b): its starts (see _annulus_keys), then
+    what the search draws from its (generator, rows) pair.  Whole blocks
+    of all runs are grouped up to _GROUP_WALKS planned walks, and a group
+    is sampled, searched, filtered and reduced at once."""
+    if plan.n != n:
+        raise ValueError(f"the plan is for n={plan.n}, the search for n={n}")
+    efforts = {cfg.effort for cfg, _ in runs}
+    if len(efforts) != 1:
+        raise ValueError("the runs of an anchored search must share one effort")
+    (effort,) = efforts
+    anchored_walks(plan, effort, len(centers), r_first)
+    sched = _schedule(plan, effort, r_first)
+    if not sched:
+        return None
+    r, t, reps = (np.array(col, dtype=np.int64) for col in zip(*sched))
+    lo, hi = np.maximum(r - t, 0), np.minimum(r + t, n)
+    counts = reps * len(centers)  # tasks per row of the schedule
+    ends = np.cumsum(counts)
+    per_task = _walk_tables(plan)[0][t]
+    walk_ends = np.cumsum(counts * per_task)
+    centers = np.array(centers, dtype=np.int64)
+    windows = np.array([window for _, window in runs], dtype=np.int64)
+
+    def walks_to(i):  # planned walks of tasks 0..i-1
+        row = int(np.searchsorted(ends, i))
+        return int(walk_ends[row] - (ends[row] - i) * per_task[row])
+
+    def groups():
+        group, size, tasks = [], 0, int(ends[-1])
+        for j, a in itertools.product(range(len(runs)), range(0, tasks, _TASK_BLOCK)):
+            b = min(a + _TASK_BLOCK, tasks)
+            walks = walks_to(b) - walks_to(a)
+            if group and size + walks > _GROUP_WALKS:
+                yield group
+                group, size = [], 0
+            group.append((j, a, b))
+            size += walks
+        yield group
+
     winners = []
-    for keys, t, gen in _task_blocks(n, plan, cfg, centers, r_first):
-        out, hit = search(keys, t, gen)
+    for group in groups():
+        task = np.concatenate([np.arange(a, b) for _, a, b in group])
+        row = np.searchsorted(ends, task, side="right")
+        center = (task - ends[row] + counts[row]) // reps[row]
+        blocks = [
+            (np.random.default_rng(runs[j][0].seed_sequence(a // _TASK_BLOCK)), b - a)
+            for j, a, b in group
+        ]
+        keys = _annulus_keys(blocks, n, centers[center], lo[row], hi[row])
+        out, hit = search(keys, t[row], blocks)
+        run = np.repeat([j for j, _, _ in group], [b - a for _, a, b in group])
+        window = windows[run]
         weight = popcount(out)
-        out = out[hit & (lo_w <= weight) & (weight <= hi_w)]
+        out = out[hit & (window[:, 0] <= weight) & (weight <= window[:, 1])]
         if out.size:
             winners.append(out[farthest_index(out, anchor_keys, reduce)])
     if not winners:
@@ -384,27 +437,33 @@ def weight_window(delta, w):
     return math.ceil((1 - delta) * w), math.floor((1 + delta) * w)
 
 
-def anchored_farthest_min(n, anchors, plan, cfg, search, window):
-    """Best output of the block search `search` (see _anchored_argmax) by
-    min-distance to `anchors` whose weight lies in the integer window.
+def anchored_farthest_min(n, anchors, plan, runs, search):
+    """Best output of the block search `search` by min-distance to
+    `anchors` over the (cfg, window) `runs` (see _anchored_argmax).
 
     Starts are drawn around every anchor and around the all-zeros point;
     the latter is what ties output weight to the window.
     """
     keys = anchor_keys_of(n, anchors)
-    return _anchored_argmax(n, plan, cfg, keys + [0], 1, search, keys, np.min, window)
+    return _anchored_argmax(n, plan, runs, keys + [0], 1, search, keys, np.min)
+
+
+def schoning_weight_sweep(formula, anchors, plan, cfgs):
+    """The best by min-distance to `anchors`, ties to the smallest key, of
+    schoning_farthest_weighted(formula, anchors, W, plan, cfgs[W]) over
+    the targets W of `cfgs`, found in one pass."""
+    n = formula.n
+    if not all(0 <= w <= n for w in cfgs):
+        raise ValueError("W must lie in 0..n")
+    windows = [(0, n) if w == 0 else weight_window(plan.delta, w) for w in cfgs]
+    runs = list(zip(cfgs.values(), windows))
+    return anchored_farthest_min(n, anchors, plan, runs, _walk_search(formula, plan))
 
 
 def schoning_farthest_weighted(formula, anchors, w, plan, cfg):
     """Best satisfying output by min-distance to `anchors` whose weight
     lies in [(1-delta) W, (1+delta) W]; W=0 means no weight window."""
-    n = formula.n
-    if not 0 <= w <= n:
-        raise ValueError("W must lie in 0..n")
-    window = (0, n) if w == 0 else weight_window(plan.delta, w)
-    return anchored_farthest_min(
-        n, anchors, plan, cfg, _walk_search(formula, plan), window
-    )
+    return schoning_weight_sweep(formula, anchors, plan, {w: cfg})
 
 
 def schoning_farthest_sum(formula, anchors, plan, cfg):
@@ -412,7 +471,7 @@ def schoning_farthest_sum(formula, anchors, plan, cfg):
     n = formula.n
     keys = anchor_keys_of(n, anchors)
     search = _walk_search(formula, plan)
-    return _anchored_argmax(n, plan, cfg, keys, 0, search, keys, np.sum, (0, n))
+    return _anchored_argmax(n, plan, [(cfg, (0, n))], keys, 0, search, keys, np.sum)
 
 
 def schoning_solve_counted(formula, cfg):

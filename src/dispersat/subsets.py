@@ -28,7 +28,7 @@ from .cnf import (
 from .dispersion import FarthestOracle, gonzalez_min
 from .measures import popcount
 from .ppz import packed_engine
-from .schoning import BudgetPlan, anchored_farthest_min, weight_window
+from .schoning import BudgetPlan, anchored_farthest_min, anchored_walks, weight_window
 
 _NODE_CHUNK = 1 << 11  # nodes per set test; bounds memory, not the search
 
@@ -233,13 +233,13 @@ class _Extender:
 
 def _extension_search(family):
     """The anchored search's block search for hitting sets of `family`:
-    `search(keys, t, gen)` -> (int64 keys, hit) extends every start
+    `search(keys, t, blocks)` -> (int64 keys, hit) extends every start
     keys[i] within t[i] additions, as hitting_set_monotone_search does,
-    and draws nothing from gen.  A tree of depth t has at most
-    d^t <= ceil(c^t) leaves, the count the anchored cap charges per
+    and draws from no generator of `blocks`.  A tree of depth t has at
+    most d^t <= ceil(c^t) leaves, the count the anchored cap charges per
     task.  The tables are built on first use, once per family."""
 
-    def search(keys, t, gen):
+    def search(keys, t, blocks):
         out, hit = packed_engine(family, _Extender).run(keys, t)
         if ((out & keys) != keys)[hit].any() or (popcount(out ^ keys) > t)[hit].any():
             raise AssertionError("extension left its cone")
@@ -326,15 +326,16 @@ def diverse_min(system, s, delta, cfg):
         raise CapabilityError("system has no packed extension search")
     n = system.n
     check_key_width(n)  # before the deepening, which grows as d^OPT
-    opt, witness = minimum_feasible_weight(system)
     delta = Fraction(delta)
     plan = BudgetPlan(n, delta, 1, system.c)
+    if s > 1:
+        anchored_walks(plan, cfg.effort, 2)  # the first oracle call's cap
+    opt, witness = minimum_feasible_weight(system)
     window = weight_window(delta, opt)
 
     def fn(formula, anchors, salt):
-        return anchored_farthest_min(
-            n, anchors, plan, cfg.spawn(2, *salt), system.packed_search, window
-        )
+        runs = [(cfg.spawn(2, *salt), window)]
+        return anchored_farthest_min(n, anchors, plan, runs, system.packed_search)
 
     oracle = FarthestOracle("min", fn)
     seed = _set_to_assignment(n, witness)

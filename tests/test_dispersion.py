@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dispersat.brute import brute_opt, enumerate_solutions
@@ -20,11 +21,16 @@ from dispersat.measures import (
     DispersionObjective,
     SolutionCollection,
     WeightKind,
+    farthest_index,
     min_pairwise_distance,
     sum_pairwise_distance,
 )
 from dispersat.ppz import OracleConfig
-from dispersat.schoning import make_plan
+from dispersat.schoning import (
+    make_plan,
+    schoning_farthest_weighted,
+    schoning_weight_sweep,
+)
 
 
 def A(s):
@@ -197,3 +203,61 @@ class TestWeighted:
         out = oracle(f, [A("1111")], salt=())
         assert out is not None
         assert out.weight() >= 1.5  # (1 - delta) * W for W' = 3
+
+
+class TestFusedWeightSweep:
+    """The weighted oracle's one-pass sweep returns what one
+    schoning_farthest_weighted call per target, kept as the reference
+    here, returns: best by min-distance, ties to the smallest key."""
+
+    @staticmethod
+    def per_target_loop(plan, cfg, w, kind, formula, anchors, salt):
+        """(answer, whether every target returned None)."""
+        n = formula.n
+        at_least = kind is WeightKind.AT_LEAST
+        targets = range(max(w, 1), n + 1) if at_least else range(1, w + 1)
+        found = [
+            schoning_farthest_weighted(
+                formula, anchors, wp, plan, cfg.spawn(1, wp, *salt)
+            )
+            for wp in targets
+        ]
+        candidates = [z for z in found if z is not None]
+        none = not candidates
+        if not at_least and evaluate(formula, Assignment.zeros(n)):
+            candidates.append(Assignment.zeros(n))
+        if not candidates:
+            return None, none
+        keys = [z.key for z in candidates]
+        return candidates[farthest_index(keys, [a.key for a in anchors], np.min)], none
+
+    def test_matches_the_per_target_loop(self):
+        rng = random.Random(71)
+        kinds = [WeightKind.AT_LEAST, WeightKind.AT_MOST]
+        answers = all_none = 0
+        for trial in range(32):
+            n = rng.randint(6, 12)
+            if trial % 8 == 7:
+                f = CnfFormula(n, [(1, 2), (1, -2), (-1, 2), (-1, -2)])  # unsat
+            else:
+                f = random_formula(rng, n, m=rng.randint(n, 5 * n))
+            plan = make_plan(n, 3)
+            kind = kinds[trial % 2]
+            w = rng.randint(0, n)
+            keys = rng.sample(range(1 << n), rng.randint(1, 3))
+            anchors = [Assignment(n, key) for key in keys]
+            cfg = OracleConfig(seed=rng.randrange(2**32))
+            salt = (rng.randint(2, 4), rng.randint(0, 5))
+            want, none = self.per_target_loop(plan, cfg, w, kind, f, anchors, salt)
+            got = schoning_weighted_min_oracle(plan, cfg, w, kind)(f, anchors, salt)
+            assert got == want
+            answers += want is not None
+            all_none += none
+        assert answers >= 12 and all_none >= 4
+
+    def test_targets_share_one_effort(self):
+        f = CnfFormula(6, [(1, 2, 3)])
+        plan = make_plan(6, 3)
+        cfgs = {2: OracleConfig(seed=1), 3: OracleConfig(seed=1, effort=2.0)}
+        with pytest.raises(ValueError, match="share one effort"):
+            schoning_weight_sweep(f, [A("111111")], plan, cfgs)

@@ -140,3 +140,16 @@ def test_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found
+
+
+def test_diverse_min_checks_the_anchored_cap_before_the_deepening(monkeypatch):
+    """A 36-vertex path plans more anchored walks than the cap allows, so
+    it is refused before its OPT deepening (seconds at this size) runs."""
+
+    def deepen(system):
+        raise AssertionError("the deepening ran before the anchored cap check")
+
+    monkeypatch.setattr(subsets, "minimum_feasible_weight", deepen)
+    path = Graph.from_edges(36, [(v, v + 1) for v in range(1, 36)])
+    with pytest.raises(CapabilityError, match=r"1149656268 walks \(n=36\)"):
+        diverse_min(vertex_cover_system(path), 2, Fraction(1, 2), CFG)

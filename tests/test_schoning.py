@@ -12,8 +12,10 @@ import pytest
 
 from dispersat.brute import enumerate_solutions, farthest_min
 from dispersat.cnf import Assignment, CapabilityError, CnfFormula, evaluate
+from dispersat.dispersion import schoning_weighted_min_oracle
 from dispersat.generators import planted_kcnf
 from dispersat import ppz, schoning
+from dispersat.measures import WeightKind
 from dispersat.ppz import OracleConfig
 from dispersat.schoning import (
     BudgetPlan,
@@ -30,6 +32,7 @@ from dispersat.schoning import (
     schoning_walk,
     weight_window,
 )
+from dispersat.subsets import Graph, diverse_min, vertex_cover_system
 
 
 def A(s):
@@ -528,32 +531,110 @@ class TestWalkEngine:
         for n, word in ((7, np.uint8), (8, np.uint8), (9, np.uint16), (33, np.uint64)):
             assert ppz.packed_engine(CnfFormula(n, [(1,)]), schoning._Walker).word is word
 
-    def test_block_search_matches_local_search_rule(self):
+    @pytest.mark.parametrize("m", [255, 256, 300])
+    def test_rank_rule_past_one_byte(self, m):
+        """The first violated clause among m clauses, whose ranks 1..m
+        need uint16 from m = 256 on.  Full-width clauses are each violated
+        by one point, so first violated clauses spread over 0..m-1; in a
+        random 3-CNF a point violates many clauses, early and late."""
+        rng = random.Random(54 + m)
+        for n in (8, 9):
+            signs = [[rng.choice([-1, 1]) for _ in range(n)] for _ in range(m - 4)]
+            full = [[s * v for s, v in zip(row, range(1, n + 1))] for row in signs]
+            tail = [
+                [rng.choice([-1, 1]) * v for v in rng.sample(range(1, n + 1), 2)]
+                for _ in range(4)
+            ]
+            f = CnfFormula(n, full + tail)
+            assert f.num_clauses == m
+            eng = ppz.packed_engine(f, schoning._Walker)
+            assert eng.rank.dtype == (np.uint8 if m == 255 else np.uint16)
+            first = [
+                next(c for c, (v, g) in enumerate(eng.masks) if not (key ^ g) & v)
+                for key in range(1 << n)
+                if not evaluate(f, Assignment(n, key))
+            ]
+            assert max(first) >= m - 5  # past index 254 once m > 259
+            self._compare(f, rng, walks=400)
+            self._compare(random_formula(rng, n, k=3, m=m), rng, walks=400)
+
+    @pytest.mark.parametrize("n", [1, 63])
+    def test_rank_rule_with_empty_clauses_first_and_last(self, n):
+        rng = random.Random(57 + n)
+        body = list(mixed_formula(rng, n, 3 * n + 2, 3).clauses)
+        body = [c for c in body if c]
+        for clauses in ([], [()] + body, body + [()], body):
+            self._compare(CnfFormula(n, clauses), rng)
+
+    def test_block_search_matches_local_search_rule(self, monkeypatch):
+        """Task by task, the packed pass finds what local_search finds from
+        the same start with the same uniforms.  The reference draws each
+        block from its own generator seeded by (seed, block): the starts
+        first, then each task's walks in turn.  Two runs, as two weight
+        targets, in groups of one block and in the default groups."""
+
+        class Enough(Exception):
+            pass
+
+        def reference(f, plan, cfg, centers):
+            n, size = f.n, schoning._TASK_BLOCK
+            sched = schoning._schedule(plan, cfg.effort, 1)
+            tasks = [(r, t, c) for r, t, reps in sched for c in centers for _ in range(reps)]
+            for b in range(0, len(tasks), size):
+                block = tasks[b : b + size]
+                gen = np.random.default_rng(cfg.seed_sequence(b // size))
+                r, t, c = (np.array(col) for col in zip(*block))
+                lo, hi = np.maximum(r - t, 0), np.minimum(r + t, n)
+                keys = schoning._annulus_keys([(gen, len(block))], n, c, lo, hi)
+                for key, ti in zip(keys.tolist(), t.tolist()):
+                    y = Assignment(n, key)
+                    yield key, local_search(f, y, ti, plan, copy.deepcopy(gen))
+                    gen.random(plan.walks(ti) * plan.walk_length(ti))  # next task
+
         rng = random.Random(52)
         hits = 0
-        for n, k, blocks in ((6, 2, None), (10, 3, None), (17, 3, 2), (20, 4, 1)):
+        cases = ((6, 2, None), (10, 3, None), (17, 3, 2), (20, 4, 1))
+        groups = (1, schoning._GROUP_WALKS)
+        for (n, k, limit), group in itertools.product(cases, groups):
+            monkeypatch.setattr(schoning, "_GROUP_WALKS", group)
             f = random_formula(rng, n, k=k, m=2 * n)
             plan = make_plan(n, k)
             search = schoning._walk_search(f, plan)
-            cfg = OracleConfig(seed=rng.randrange(2**32))
+            cfgs = [OracleConfig(seed=rng.randrange(2**32)) for _ in range(2)]
             centers = [rng.randrange(1 << n) for _ in range(2)]
-            tasks = schoning._task_blocks(n, plan, cfg, centers, 1)
-            for keys, t, gen in itertools.islice(tasks, blocks):
-                flat = copy.deepcopy(gen)
-                out, hit = search(keys, t, gen)
-                for i in range(len(keys)):
-                    ti = int(t[i])
-                    y = Assignment(n, int(keys[i]))
-                    ref = local_search(f, y, ti, plan, copy.deepcopy(flat))
-                    flat.random(plan.walks(ti) * plan.walk_length(ti))  # next task
+            want = itertools.chain(*(reference(f, plan, c, centers) for c in cfgs))
+            seen = []
+
+            def spy(keys, t, blocks):
+                nonlocal hits
+                out, hit = search(keys, t, blocks)
+                refs = list(itertools.islice(want, len(keys)))
+                assert len(refs) == len(keys)
+                for i, (key, ref) in enumerate(refs):
+                    assert int(keys[i]) == key
                     assert bool(hit[i]) == (ref is not None)
                     if ref is not None:
                         assert int(out[i]) == ref.key
                         hits += 1
+                seen.extend(blocks)
+                if limit is not None and len(seen) >= limit:
+                    raise Enough
+                return out, hit
+
+            runs = [(c, (0, n)) for c in cfgs]
+            try:
+                schoning._anchored_argmax(n, plan, runs, centers, 1, spy, centers, np.min)
+                assert next(want, None) is None  # every reference task was searched
+            except Enough:
+                pass
+            assert len(seen) >= (limit or 2)
         assert hits > 100
 
-    @pytest.mark.parametrize("chunk", [1, 3, None])
-    def test_outputs_ignore_the_evaluation_chunk(self, monkeypatch, chunk):
+    @pytest.mark.parametrize("group", [1, 3, 3 * schoning._TASK_BLOCK, None])
+    def test_outputs_ignore_the_evaluation_chunk(self, monkeypatch, group):
+        """Groups of one block walked one or three walks per engine run,
+        groups of up to about three blocks, and the default groups give
+        the same outputs."""
         rng = random.Random(53)
         calls = []
         for _ in range(4):
@@ -561,22 +642,27 @@ class TestWalkEngine:
             plan = make_plan(9, 3)
             anchors = [Assignment(9, rng.randrange(512)) for _ in range(2)]
             calls.append((f, anchors, plan, OracleConfig(seed=rng.randrange(99))))
-        expected = [
-            (
-                schoning_farthest_weighted(f, a, 4, p, c),
-                schoning_farthest_sum(f, a, p, c),
-            )
-            for f, a, p, c in calls
-        ]
-        if chunk is not None:
-            monkeypatch.setattr(schoning, "_WALK_CHUNK", chunk)
-        for (f, a, p, c), want in zip(calls, expected):
+        graph = Graph.from_edges(
+            10, [tuple(rng.sample(range(1, 11), 2)) for _ in range(14)]
+        )
+
+        def outputs(f, a, p, c):
             f = CnfFormula(f.n, f.clauses)  # no cached engine
-            got = (
+            return (
                 schoning_farthest_weighted(f, a, 4, p, c),
                 schoning_farthest_sum(f, a, p, c),
+                schoning_weighted_min_oracle(p, c, 4, WeightKind.AT_LEAST)(f, a),
+                schoning_weighted_min_oracle(p, c, 5, WeightKind.AT_MOST)(f, a),
             )
-            assert got == want
+
+        def covers(seed):
+            system = vertex_cover_system(graph)  # no cached tables
+            return diverse_min(system, 3, Fraction(1, 2), OracleConfig(seed=seed))
+
+        expected = [outputs(*call) for call in calls], covers(5)
+        if group is not None:
+            monkeypatch.setattr(schoning, "_GROUP_WALKS", group)
+        assert ([outputs(*call) for call in calls], covers(5)) == expected
 
     def test_escaped_walk_raises_under_python_O(self):
         script = """
@@ -615,7 +701,7 @@ class TestBlockSampler:
         lo = np.array([shells[i % 3][0] for i in range(draws)])
         hi = np.array([shells[i % 3][1] for i in range(draws)])
         centers = np.random.default_rng(1).integers(0, 1 << n, draws)
-        keys = schoning._annulus_keys(rng_for(78), n, centers, lo, hi)
+        keys = schoning._annulus_keys([(rng_for(78), draws)], n, centers, lo, hi)
         radius = np.bitwise_count(keys ^ centers)
         assert ((lo <= radius) & (radius <= hi)).all()
         # 0.1% tails of chi-square with 5, 4 and 4 degrees of freedom
@@ -632,7 +718,7 @@ class TestBlockSampler:
         n, draws = 8, 16000
         centers = np.zeros(draws, dtype=np.int64)
         keys = schoning._annulus_keys(
-            rng_for(79), n, centers, np.full(draws, 3), np.full(draws, 3)
+            [(rng_for(79), draws)], n, centers, np.full(draws, 3), np.full(draws, 3)
         )
         per_bit = [((keys >> b) & 1).sum() for b in range(n)]
         expected = draws * 3 / n
@@ -644,23 +730,41 @@ class TestBlockSampler:
         centers = gen.integers(0, 1 << 62, draws) * 2 + 1
         for lo, hi in ((0, 63), (63, 63), (0, 0), (31, 40)):
             keys = schoning._annulus_keys(
-                gen, n, centers, np.full(draws, lo), np.full(draws, hi)
+                [(gen, draws)], n, centers, np.full(draws, lo), np.full(draws, hi)
             )
             assert keys.dtype == np.int64 and (keys >= 0).all()
             radius = np.bitwise_count(keys ^ centers)
             assert ((lo <= radius) & (radius <= hi)).all()
         keys = schoning._annulus_keys(
-            gen, n, centers, np.zeros(draws, int), np.full(draws, 63)
+            [(gen, draws)], n, centers, np.zeros(draws, int), np.full(draws, 63)
         )
         # binomial(63, 1/2): mean 31.5, standard deviation 3.97
         assert abs(np.bitwise_count(keys ^ centers).mean() - 31.5) < 0.5
+
+    def test_block_generators_draw_in_seed_format_2(self):
+        """numpy facts seed format 2 relies on: a block's permutation rows
+        do not depend on the integer type of the coordinates (uint8 would
+        do; the sampler permutes int64, numpy's fast path) or on being
+        written in place, and one draw of a block's uniforms is the
+        stream of its per-walk draws."""
+        for n, rows in ((1, 3), (10, 512), (63, 7)):
+            wide = np.broadcast_to(np.arange(n), (rows, n))
+            want = rng_for(82, n).permuted(wide, axis=1)
+            got = np.zeros((rows + 2, n), dtype=np.uint8)
+            small = np.broadcast_to(np.arange(n, dtype=np.uint8), (rows, n))
+            rng_for(82, n).permuted(small, axis=1, out=got[1 : rows + 1])
+            assert (got[1 : rows + 1] == want).all()
+        whole = rng_for(83).random(3 * 4 + 0 + 5)
+        gen = rng_for(83)
+        parts = [gen.random(k) for k in (4, 4, 4, 0, 5)]
+        assert (np.concatenate(parts) == whole).all()
 
     def test_sample_annulus_is_one_row(self):
         z = A("1011001010")
         for lo, hi in ((0, 10), (2, 5), (10, 14)):
             one = sample_annulus(z, lo, hi, rng_for(81, lo))
             row = schoning._annulus_keys(
-                rng_for(81, lo), 10, np.array([z.key]), np.array([lo]),
+                [(rng_for(81, lo), 1)], 10, np.array([z.key]), np.array([lo]),
                 np.array([min(hi, 10)]),
             )
             assert one.key == int(row[0])
