@@ -73,12 +73,9 @@ from .dispersion import (
 )
 from .subsets import (
     Graph,
-    ImplicitSetSystem,
     SetFamily,
     diverse_min,
     hitting_set_monotone_search,
-    hitting_set_system,
-    plfs_from_monotone,
     reduce_hitting_set,
     reduce_independent_set,
     reduce_vertex_cover,

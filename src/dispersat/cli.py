@@ -64,14 +64,13 @@ from .schoning import (
     schoning_solve_counted,
 )
 from .subsets import (
+    SetFamily,
     diverse_min,
-    hitting_set_system,
     parse_graph,
     parse_set_family,
     reduce_hitting_set,
     reduce_independent_set,
     reduce_vertex_cover,
-    vertex_cover_system,
 )
 
 SCHEMA_VERSION = 1
@@ -202,8 +201,14 @@ def _cmd_disperse(args, report):
     objective = DispersionObjective(args.objective)
     cfg = _config(args)
     kind, w = _weight_args(args)
-    if kind is not WeightKind.NONE and args.algo not in ("exact", "schoening"):
-        raise UsageError("weight constraints need --algo exact or schoening")
+    weighted = args.algo == "exact" or (
+        args.algo == "schoening" and objective is DispersionObjective.MIN_PD
+    )
+    if kind is not WeightKind.NONE and not weighted:
+        raise UsageError(
+            "weight constraints need --algo exact, "
+            "or --algo schoening with --objective min"
+        )
     if args.algo == "exact":
         constraint = NO_WEIGHT if kind is WeightKind.NONE else WeightConstraint(kind, w)
         value, witness = brute_opt(formula, args.s, objective, constraint)
@@ -266,13 +271,14 @@ def _cmd_reduce(args, report):
 def _cmd_diverse_min(args, report):
     text = _read_input(args.file)
     if args.problem == "hs":
-        system = hitting_set_system(parse_set_family(text))
+        family = parse_set_family(text)
     else:
-        system = vertex_cover_system(parse_graph(text))
+        graph = parse_graph(text)
+        family = SetFamily.from_lists(graph.num_vertices, graph.edges)
     cfg = _config(args)
     delta = Fraction(args.delta if args.delta is not None else "1/2")
-    out = diverse_min(system, args.s, delta, cfg)
-    report.assignments = [z.to_string() for z in out.members]
+    out = diverse_min(family, args.s, delta, cfg)
+    report.assignments = _verified_strings(reduce_hitting_set(family), out.members)
     report.values["minPD"] = min_pairwise_distance(out)
     report.values["sizes"] = [z.weight() for z in out.members]
 

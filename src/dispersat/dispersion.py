@@ -131,22 +131,19 @@ def schoning_seeder(cfg):
     return lambda formula: schoning_solve_counted(formula, cfg.spawn(0))[0]
 
 
-def _checked(formula, members, distinct, verify=None):
-    check = verify if verify is not None else (lambda z: evaluate(formula, z))
+def _checked(formula, members, distinct):
     for z in members:
-        if not check(z):
+        if not evaluate(formula, z):
             raise AssertionError("driver produced an infeasible member")
     return SolutionCollection(members, distinct=distinct)
 
 
-def gonzalez_min(formula, s, oracle, seeder, verify=None):
+def gonzalez_min(formula, s, oracle, seeder):
     """Farthest-point insertion: a seed solution plus s-1 oracle calls.
 
     With a (1-delta)-approximate oracle the result has
     minPD >= (1-delta)/2 * Opt-min(F, s).  Oracle outputs already in the
-    set are rejected and retried a bounded number of times.  `formula`
-    is opaque to the driver (it is handed to the oracle and the seeder),
-    so any problem with a feasibility `verify` plugs in.
+    set are rejected and retried a bounded number of times.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -166,10 +163,10 @@ def gonzalez_min(formula, s, oracle, seeder, verify=None):
         if found is None:
             raise PartialSetError(
                 f"oracle failed to extend the set past {len(members)} members",
-                _checked(formula, members, distinct=True, verify=verify),
+                _checked(formula, members, distinct=True),
             )
         members.append(found)
-    return _checked(formula, members, distinct=True, verify=verify)
+    return _checked(formula, members, distinct=True)
 
 
 def sum_disperse(formula, s, oracle, seeder):

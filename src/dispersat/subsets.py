@@ -1,10 +1,11 @@
 """Subset-problem applications: isometric reductions to CNF, monotone
-local search for hitting sets, the hereditary bridge to local
-feasibility search, and diverse approximately-minimum solutions.
+local search for hitting sets, and diverse approximately-minimum
+hitting sets.
 
-Subsets of the ground set [n] double as hypercube points, so the whole
-dispersion machinery carries over once a parameterized feasibility
-search replaces the CNF walk.
+Subsets of the ground set [n] double as hypercube points, and the
+hitting-set reduction keeps their weights and distances, so the whole
+dispersion machinery carries over once the extension search replaces
+the CNF walk.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .cnf import (
     Assignment,
-    CapabilityError,
     CnfFormula,
     InfeasibleError,
     ParseError,
@@ -27,7 +27,7 @@ from .cnf import (
 )
 from .dispersion import FarthestOracle, gonzalez_min
 from .measures import popcount
-from .ppz import packed_engine
+from .ppz import packed_engine, word_for
 from .schoning import BudgetPlan, anchored_farthest_min, anchored_walks, weight_window
 
 _NODE_CHUNK = 1 << 11  # nodes per set test; bounds memory, not the search
@@ -76,6 +76,14 @@ class SetFamily:
         return max((len(s) for s in self.sets), default=0)
 
 
+def _ints(line, lineno):
+    """The line's tokens as integers; ParseError names a bad line."""
+    try:
+        return [int(tok) for tok in line.split()]
+    except ValueError:
+        raise ParseError(f"expected integers, got {line!r}", lineno) from None
+
+
 def parse_graph(text):
     """Edge-list text: "n m" header, one "u v" edge per line."""
     lines = [
@@ -89,13 +97,13 @@ def parse_graph(text):
     parts = header.split()
     if len(parts) != 2:
         raise ParseError("expected 'n m' header", lineno)
-    n, m = int(parts[0]), int(parts[1])
+    n, m = _ints(header, lineno)
     edges = []
     for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError("expected 'u v' edge", lineno)
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append(tuple(_ints(line, lineno)))
     if len(edges) != m:
         raise ParseError(f"header declared {m} edges, found {len(edges)}")
     return Graph.from_edges(n, edges)
@@ -105,11 +113,11 @@ def parse_set_family(text):
     """One set per line of space-separated 1-based indices."""
     sets = []
     top = 0
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        elems = [int(tok) for tok in line.split()]
+        elems = _ints(line, lineno)
         sets.append(elems)
         top = max(top, max(elems))
     if not sets:
@@ -136,21 +144,6 @@ def reduce_hitting_set(family):
     return CnfFormula(family.n, clauses)
 
 
-@dataclass(frozen=True)
-class ImplicitSetSystem:
-    """n, a feasibility predicate on subsets of [n], an optional monotone
-    extension search (A, t) -> feasible superset within t additions, its
-    optional packed block search (see _extension_search), and a
-    hereditary declaration (supersets of feasible sets are feasible)."""
-
-    n: int
-    feasible: object
-    monotone_search: object = None
-    packed_search: object = None
-    hereditary: bool = False
-    c: Fraction = Fraction(2)  # branching base of the extension search
-
-
 def hitting_set_monotone_search(family, base, t):
     """Feasible superset of `base` within t additions, by branching on
     the first un-hit set (at most d branches, depth t)."""
@@ -175,17 +168,17 @@ class _Extender:
     """Packed hitting_set_monotone_search over a block of starts, one
     int64 key per node of the branch trees.
 
-    Row i < m of the tables is set i: `mask[i]` has its elements
-    (element e is bit n - e, as in keys), `elems[i, j]` its j-th
-    smallest one and `width[i]` its size.  Row m is an empty set that no
-    key hits, so the first set a key misses is the argmax of
+    Row i < m of the tables is set i: `mask[i]` has its elements in an
+    n-bit word (element e is bit n - e, as in keys), `elems[i, j]` its
+    j-th smallest one and `width[i]` its size.  Row m is an empty set
+    that no key hits, so the first set a key misses is the argmax of
     `(key & mask) == 0`, and it is m exactly when the key hits them all.
     """
 
     def __init__(self, family):
         n = family.n
         bits = [[1 << (n - e) for e in sorted(s)] for s in family.sets] + [[]]
-        self.mask = np.array([sum(row) for row in bits], dtype=np.int64)
+        self.mask = np.array([sum(row) for row in bits], dtype=word_for(n))
         self.width = np.array([len(row) for row in bits], dtype=np.intp)
         self.elems = np.zeros((len(bits), max(family.d, 1)), dtype=np.int64)
         for i, row in enumerate(bits):
@@ -196,7 +189,8 @@ class _Extender:
         _NODE_CHUNK keys at a time."""
         first = np.empty(len(keys), dtype=np.intp)
         for lo in range(0, len(keys), _NODE_CHUNK):
-            miss = (keys[lo : lo + _NODE_CHUNK, None] & self.mask) == 0
+            chunk = keys[lo : lo + _NODE_CHUNK].astype(self.mask.dtype)
+            miss = (chunk[:, None] & self.mask) == 0
             first[lo : lo + _NODE_CHUNK] = miss.argmax(axis=1)
         return first
 
@@ -248,42 +242,6 @@ def _extension_search(family):
     return search
 
 
-def hitting_set_system(family):
-    return ImplicitSetSystem(
-        n=family.n,
-        feasible=lambda a: all(s & a for s in family.sets),
-        monotone_search=lambda a, t: hitting_set_monotone_search(family, a, t),
-        packed_search=_extension_search(family),
-        hereditary=True,
-        c=Fraction(max(family.d, 2)),
-    )
-
-
-def vertex_cover_system(graph):
-    """Vertex cover as 2-hitting set over the edge family."""
-    family = SetFamily.from_lists(graph.num_vertices, graph.edges)
-    return hitting_set_system(family)
-
-
-def plfs_from_monotone(system):
-    """Local feasibility search for a hereditary system from its
-    monotone extension search.
-
-    For hereditary families, a feasible set within Hamming distance t of
-    A exists iff one exists among supersets gaining at most t elements
-    (take the union), so the cone search is complete for the ball.
-    """
-    if not system.hereditary:
-        raise CapabilityError("PLFS bridge requires a hereditary system")
-    if system.monotone_search is None:
-        raise CapabilityError("system has no monotone extension search")
-
-    def plfs(base, t):
-        return system.monotone_search(frozenset(base), t)
-
-    return plfs
-
-
 def _set_to_assignment(n, subset):
     key = 0
     for e in subset:
@@ -301,56 +259,47 @@ def _assignment_to_set(z):
     return frozenset(members)
 
 
-def minimum_feasible_weight(system):
-    """Smallest feasible-set size, by deepening the extension search."""
-    plfs = plfs_from_monotone(system)
-    for t in range(system.n + 1):
-        found = plfs(frozenset(), t)
+def minimum_feasible_weight(family):
+    """Smallest hitting-set size, by deepening the extension search."""
+    for t in range(family.n + 1):
+        found = hitting_set_monotone_search(family, frozenset(), t)
         if found is not None:
             return len(found), found
-    raise UnsatError("the system has no feasible set")
+    raise UnsatError("the family has no hitting set")
 
 
-def diverse_min(system, s, delta, cfg):
-    """s dispersed feasible sets, each of size at most (1+delta) OPT.
+def diverse_min(family, s, delta, cfg):
+    """s dispersed hitting sets, each of size at most (1+delta) OPT.
 
-    The CNF anchored machinery runs unchanged with the system's packed
-    extension search in place of the walks: anchors are the current
-    sets plus the empty set, starts come from the anchored search's
-    block sampler, and the exact-weight target is OPT, so
-    qualifying outputs stay near-minimum while min-distance is pushed up.
+    The CNF anchored machinery runs on the family's hitting-set
+    reduction with the packed extension search in place of the walks:
+    anchors are the current sets plus the empty set, starts come from
+    the anchored search's block sampler, and the exact-weight target is
+    OPT, so qualifying outputs stay near-minimum while min-distance is
+    pushed up.  The driver checks every member against the reduction.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    if system.packed_search is None:
-        raise CapabilityError("system has no packed extension search")
-    n = system.n
+    n = family.n
     check_key_width(n)  # before the deepening, which grows as d^OPT
     delta = Fraction(delta)
-    plan = BudgetPlan(n, delta, 1, system.c)
+    plan = BudgetPlan(n, delta, 1, max(family.d, 2))
     if s > 1:
         anchored_walks(plan, cfg.effort, 2)  # the first oracle call's cap
-    opt, witness = minimum_feasible_weight(system)
+    opt, witness = minimum_feasible_weight(family)
     window = weight_window(delta, opt)
+    search = _extension_search(family)
 
     def fn(formula, anchors, salt):
         runs = [(cfg.spawn(2, *salt), window)]
-        return anchored_farthest_min(n, anchors, plan, runs, system.packed_search)
+        return anchored_farthest_min(n, anchors, plan, runs, search)
 
-    oracle = FarthestOracle("min", fn)
     seed = _set_to_assignment(n, witness)
-
     try:
-        out = gonzalez_min(
-            system,
-            s,
-            oracle,
-            lambda _: seed,
-            verify=lambda z: system.feasible(_assignment_to_set(z)),
+        return gonzalez_min(
+            reduce_hitting_set(family), s, FarthestOracle("min", fn), lambda _: seed
         )
     except PartialSetError as err:
         raise InfeasibleError(
             f"fewer than {s} qualifying dispersed sets found at this budget"
         ) from err
-    return out
-

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -8,8 +9,11 @@ import numpy as np
 import pytest
 
 import dispersat
+from dispersat import cli
 from dispersat.cli import probe_speedup, run
+from dispersat.cnf import Assignment
 from dispersat.generators import planted_kcnf
+from dispersat.measures import SolutionCollection
 
 
 OR2 = "p cnf 2 1\n1 2 0\n"
@@ -193,6 +197,18 @@ class TestDisperse:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--weight-min", "--weight-max"])
+    def test_usage_error_weight_with_schoening_sum(self, tmp_path, capsys, flag):
+        """The Schoening sum driver has no weight constraint, so a weight
+        flag is refused rather than dropped."""
+        path = tmp_path / "triple.cnf"
+        path.write_text(TRIPLE)
+        argv = ["disperse", "--s", "3", "--objective", "sum", "--algo", "schoening"]
+        assert run(argv + [flag, "2", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--algo schoening with --objective min" in captured.err
+
 
 class TestDeltaRule:
     """--delta and --variant are checked by the plan's one admissibility rule."""
@@ -271,6 +287,64 @@ class TestDiverseMin:
         assert code == 0
         assert data["values"]["minPD"] >= 1
         assert all(size <= 3 for size in data["values"]["sizes"])
+
+    def test_refuses_a_non_hitting_member(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "fam.txt"
+        path.write_text("1 2\n3 4\n")
+        misses = SolutionCollection([Assignment(4, 0b1100)], distinct=True)
+        monkeypatch.setattr(cli, "diverse_min", lambda *args: misses)
+        with pytest.raises(AssertionError, match="refusing to emit"):
+            run(["diverse-min", "--problem", "hs", "--s", "1", str(path)])
+        assert capsys.readouterr().out == ""
+
+
+GRAPH12 = (
+    "12 18\n1 2\n1 5\n2 3\n2 7\n3 4\n3 9\n4 5\n4 11\n5 6\n6 7\n6 12\n"
+    "7 8\n8 9\n8 12\n9 10\n10 11\n10 12\n11 1\n"
+)
+FAMILY8 = "1 2 3\n3 4 5\n5 6 7\n7 8 1\n2 6\n4 8\n"
+
+
+class TestDiverseMinGolden:
+    """Seeded `diverse-min` reports, pinned byte for byte apart from
+    `wall_time_ms`, so that refactors keep the seeded outputs."""
+
+    @pytest.mark.parametrize(
+        "text, argv, expected",
+        [
+            (
+                GRAPH12,
+                "diverse-min --problem vc --s 3 --delta 1/2 --seed 7 -",
+                '{"assignments": ["111101010100", "010110101011", "101010110111"], '
+                '"command": "diverse-min --problem vc --s 3 --delta 1/2 --seed 7 -", '
+                '"counters": {}, "schema_version": 1, "seed": 7, "status": "OK", '
+                '"values": {"minPD": 7, "sizes": [7, 7, 8]}}',
+            ),
+            (
+                FAMILY8,
+                "diverse-min --problem hs --s 1 --delta 1/2 --seed 8 -",
+                '{"assignments": ["10010100"], '
+                '"command": "diverse-min --problem hs --s 1 --delta 1/2 --seed 8 -", '
+                '"counters": {}, "schema_version": 1, "seed": 8, "status": "OK", '
+                '"values": {"minPD": 9, "sizes": [3]}}',
+            ),
+            (
+                FAMILY8,
+                "diverse-min --problem hs --s 2 --delta 1/2 --seed 9 -",
+                '{"assignments": ["10010100", "01001011"], '
+                '"command": "diverse-min --problem hs --s 2 --delta 1/2 --seed 9 -", '
+                '"counters": {}, "schema_version": 1, "seed": 9, "status": "OK", '
+                '"values": {"minPD": 7, "sizes": [3, 4]}}',
+            ),
+        ],
+        ids=["vc-s3", "hs-s1", "hs-s2"],
+    )
+    def test_pinned_report(self, monkeypatch, capsys, text, argv, expected):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(argv.split()) == 0
+        data = capture(capsys)
+        data.pop("wall_time_ms")
+        assert json.dumps(data, sort_keys=True) == expected
 
 
 class TestEstimateRuntime:

@@ -32,18 +32,17 @@ from dispersat.schoning import (
     schoning_solve_counted,
     schoning_walk,
 )
-from dispersat.subsets import (
-    Graph,
-    SetFamily,
-    diverse_min,
-    hitting_set_system,
-    vertex_cover_system,
-)
+from dispersat.subsets import Graph, SetFamily, _extension_search, diverse_min
 
 F64 = CnfFormula(64, [(1, 2), (3, -4)])
 CFG = OracleConfig(seed=1, repetitions=8)
 TOP = Assignment(64, 2**63 + 5)  # a key that does not fit an int64
 PLAN = BudgetPlan(64, Fraction(1, 2), 1, 2)
+
+
+def edge_family(graph):
+    """Vertex cover as hitting the edges."""
+    return SetFamily.from_lists(graph.num_vertices, graph.edges)
 
 
 def _rng():
@@ -70,13 +69,13 @@ ENTRY_POINTS = {
         F64, 2, ppz_min_oracle(CFG), ppz_seeder(CFG)
     ),
     "diverse_min": lambda: diverse_min(
-        hitting_set_system(SetFamily.from_lists(64, [(1, 2), (3, 64)])),
+        SetFamily.from_lists(64, [(1, 2), (3, 64)]),
         2,
         Fraction(1, 2),
         CFG,
     ),
     "diverse_min_vertex_cover": lambda: diverse_min(
-        vertex_cover_system(Graph.from_edges(64, [(1, 2), (2, 64), (63, 64)])),
+        edge_family(Graph.from_edges(64, [(1, 2), (2, 64), (63, 64)])),
         2,
         Fraction(1, 2),
         CFG,
@@ -108,22 +107,22 @@ def test_schoning_solve_refuses_64_bits():
 
 def test_packed_extension_search_refuses_64_bits():
     """The hitting-set tables refuse n = 64 before building an int64 mask."""
-    system = vertex_cover_system(Graph.from_edges(64, [(1, 64)]))
+    search = _extension_search(edge_family(Graph.from_edges(64, [(1, 64)])))
     keys = np.zeros(1, dtype=np.int64)
     with pytest.raises(CapabilityError, match="n=64 exceeds the 63-bit key limit"):
-        system.packed_search(keys, np.ones(1, dtype=np.int64), None)
+        search(keys, np.ones(1, dtype=np.int64), None)
 
 
 def test_diverse_min_refuses_64_bits_before_the_deepening(monkeypatch):
     """A 64-vertex path has OPT = 32; its deepening would take hours."""
 
-    def deepen(system):
+    def deepen(family):
         raise AssertionError("the deepening ran before the key-width check")
 
     monkeypatch.setattr(subsets, "minimum_feasible_weight", deepen)
     path = Graph.from_edges(64, [(v, v + 1) for v in range(1, 64)])
     with pytest.raises(CapabilityError, match="n=64 exceeds the 63-bit key limit"):
-        diverse_min(vertex_cover_system(path), 2, Fraction(1, 2), CFG)
+        diverse_min(edge_family(path), 2, Fraction(1, 2), CFG)
 
 
 def test_n63_still_runs():
@@ -146,10 +145,10 @@ def test_diverse_min_checks_the_anchored_cap_before_the_deepening(monkeypatch):
     """A 36-vertex path plans more anchored walks than the cap allows, so
     it is refused before its OPT deepening (seconds at this size) runs."""
 
-    def deepen(system):
+    def deepen(family):
         raise AssertionError("the deepening ran before the anchored cap check")
 
     monkeypatch.setattr(subsets, "minimum_feasible_weight", deepen)
     path = Graph.from_edges(36, [(v, v + 1) for v in range(1, 36)])
     with pytest.raises(CapabilityError, match=r"1149656268 walks \(n=36\)"):
-        diverse_min(vertex_cover_system(path), 2, Fraction(1, 2), CFG)
+        diverse_min(edge_family(path), 2, Fraction(1, 2), CFG)

@@ -32,7 +32,7 @@ from dispersat.schoning import (
     schoning_walk,
     weight_window,
 )
-from dispersat.subsets import Graph, diverse_min, vertex_cover_system
+from dispersat.subsets import Graph, SetFamily, diverse_min
 
 
 def A(s):
@@ -656,8 +656,9 @@ class TestWalkEngine:
             )
 
         def covers(seed):
-            system = vertex_cover_system(graph)  # no cached tables
-            return diverse_min(system, 3, Fraction(1, 2), OracleConfig(seed=seed))
+            # a new family each time, so no cached tables
+            edges = SetFamily.from_lists(graph.num_vertices, graph.edges)
+            return diverse_min(edges, 3, Fraction(1, 2), OracleConfig(seed=seed))
 
         expected = [outputs(*call) for call in calls], covers(5)
         if group is not None:

@@ -10,7 +10,7 @@ import pytest
 
 from dispersat import subsets
 from dispersat.brute import enumerate_solutions
-from dispersat.cnf import CapabilityError, ParseError
+from dispersat.cnf import ParseError
 from dispersat.measures import min_pairwise_distance
 from dispersat.ppz import OracleConfig
 from dispersat.subsets import (
@@ -18,15 +18,12 @@ from dispersat.subsets import (
     SetFamily,
     diverse_min,
     hitting_set_monotone_search,
-    hitting_set_system,
     minimum_feasible_weight,
     parse_graph,
     parse_set_family,
-    plfs_from_monotone,
     reduce_hitting_set,
     reduce_independent_set,
     reduce_vertex_cover,
-    vertex_cover_system,
     _assignment_to_set,
     _set_to_assignment,
 )
@@ -85,6 +82,20 @@ class TestParsers:
             parse_graph("")
         with pytest.raises(ParseError):
             parse_graph("3 2\n1 2\n")
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_graph, "# header next\n3 two\n1 2\n", "line 2: expected integers, got '3 two'"),
+            (parse_graph, "3 2\n1 2\n\n1 two\n", "line 4: expected integers, got '1 two'"),
+            (parse_set_family, "1 2\n# c\n3 4.5\n", "line 3: expected integers, got '3 4.5'"),
+        ],
+        ids=["graph-header", "graph-edge", "family"],
+    )
+    def test_non_integer_token_names_its_line(self, parse, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
 
     def test_family(self):
         fam = parse_set_family("1 2 3\n3 4 5\n")
@@ -190,7 +201,7 @@ class TestPackedExtensionSearch:
     def check_block(self, family, bases, ts):
         n = family.n
         keys = np.array([_set_to_assignment(n, b).key for b in bases], dtype=np.int64)
-        search = hitting_set_system(family).packed_search
+        search = subsets._extension_search(family)
         out, hit = search(keys, np.array(ts, dtype=np.int64), None)
         hits = 0
         for i, (base, t) in enumerate(zip(bases, ts)):
@@ -245,9 +256,7 @@ def outside(self, keys, t):
 subsets._Extender.run = outside
 family = subsets.SetFamily.from_lists(4, [[1, 2], [3, 4]])
 try:
-    subsets.diverse_min(
-        subsets.hitting_set_system(family), 2, Fraction(1, 2), OracleConfig(seed=3)
-    )
+    subsets.diverse_min(family, 2, Fraction(1, 2), OracleConfig(seed=3))
 except AssertionError as err:
     print(err)
 """
@@ -271,65 +280,52 @@ except AssertionError as err:
             return escape(keys), np.ones(len(keys), dtype=bool)
 
         monkeypatch.setattr(subsets._Extender, "run", run)
-        search = hitting_set_system(SetFamily.from_lists(6, [[1]])).packed_search
+        search = subsets._extension_search(SetFamily.from_lists(6, [[1]]))
         with pytest.raises(AssertionError, match="extension left its cone"):
             search(np.array([0b110000]), np.array([3]), None)
 
 
 class TestPlfs:
-    def test_bridge_requires_hereditary(self):
-        from dispersat.subsets import ImplicitSetSystem
-
-        sys_bad = ImplicitSetSystem(n=3, feasible=lambda a: True, hereditary=False)
-        with pytest.raises(CapabilityError):
-            plfs_from_monotone(sys_bad)
+    """Hitting sets are hereditary (supersets of a hitting set hit too),
+    so the cone search from a base is a complete local feasibility
+    search for its Hamming ball."""
 
     def test_ball_completeness(self):
         rng = random.Random(62)
         for _ in range(20):
             n = rng.randint(3, 10)
             fam = random_family(rng, n, rng.randint(1, n))
-            system = hitting_set_system(fam)
-            plfs = plfs_from_monotone(system)
+
+            def feasible(a):
+                return all(s & a for s in fam.sets)
+
             base = frozenset(rng.sample(range(1, n + 1), rng.randint(0, 3)))
             t = rng.randint(0, 4)
-            found = plfs(base, t)
+            found = hitting_set_monotone_search(fam, base, t)
             ball_has = any(
-                system.feasible(a)
+                feasible(a)
                 for a in all_subsets(n)
                 if len(a ^ base) <= t
             )
             assert (found is not None) == ball_has
             if found is not None:
                 assert len(found ^ base) <= t
-                assert system.feasible(found)
+                assert feasible(found)
 
     def test_zero_radius_feasible_base(self):
         fam = SetFamily.from_lists(2, [[1]])
-        plfs = plfs_from_monotone(hitting_set_system(fam))
-        assert plfs(frozenset({1}), 0) == {1}
+        assert hitting_set_monotone_search(fam, frozenset({1}), 0) == {1}
 
     def test_min_weight(self):
         fam = SetFamily.from_lists(5, [[1, 2, 3], [3, 4, 5]])
-        opt, witness = minimum_feasible_weight(hitting_set_system(fam))
+        opt, witness = minimum_feasible_weight(fam)
         assert opt == 1 and witness == {3}
 
 
 class TestDiverseMin:
-    def test_requires_a_packed_search(self):
-        system = hitting_set_system(SetFamily.from_lists(3, [[1, 2]]))
-        bare = subsets.ImplicitSetSystem(
-            n=3,
-            feasible=system.feasible,
-            monotone_search=system.monotone_search,
-            hereditary=True,
-        )
-        with pytest.raises(CapabilityError, match="no packed extension search"):
-            diverse_min(bare, 2, Fraction(1, 2), OracleConfig(seed=1))
-
     def test_triangle_cover_pair(self):
-        system = vertex_cover_system(TRIANGLE)
-        out = diverse_min(system, 2, Fraction(1, 2), OracleConfig(seed=70, effort=2.0))
+        edges = SetFamily.from_lists(3, TRIANGLE.edges)
+        out = diverse_min(edges, 2, Fraction(1, 2), OracleConfig(seed=70, effort=2.0))
         covers = [_assignment_to_set(z) for z in out]
         assert len(covers) == 2
         assert all(len(c) <= 3 for c in covers)  # (1 + delta) * OPT = 3
@@ -344,9 +340,7 @@ class TestDiverseMin:
         fam = SetFamily.from_lists(4, [[1, 2], [3, 4]])
         out = [
             _assignment_to_set(z)
-            for z in diverse_min(
-                hitting_set_system(fam), 2, Fraction(1, 2), OracleConfig(seed=71, effort=2.0)
-            )
+            for z in diverse_min(fam, 2, Fraction(1, 2), OracleConfig(seed=71, effort=2.0))
         ]
         assert len(out) == 2
         assert all(len(c) <= 3 for c in out)
@@ -356,9 +350,7 @@ class TestDiverseMin:
         fam = SetFamily.from_lists(5, [[1, 2, 3], [3, 4, 5]])
         out = [
             _assignment_to_set(z)
-            for z in diverse_min(
-                hitting_set_system(fam), 1, Fraction(1, 2), OracleConfig(seed=72)
-            )
+            for z in diverse_min(fam, 1, Fraction(1, 2), OracleConfig(seed=72))
         ]
         assert len(out) == 1 and len(out[0]) == 1
 
@@ -369,7 +361,6 @@ class TestDiverseMin:
         while done < 6:
             n = rng.randint(3, 9)
             fam = random_family(rng, n, rng.randint(1, n))
-            system = hitting_set_system(fam)
             feas = brute_hitting(fam)
             if not feas:
                 continue
@@ -383,7 +374,7 @@ class TestDiverseMin:
             )
             delta = Fraction(1, 2)
             out = diverse_min(
-                system, s, delta, OracleConfig(seed=700 + 10 * s + done, effort=3.0)
+                fam, s, delta, OracleConfig(seed=700 + 10 * s + done, effort=3.0)
             )
             assert all(z.weight() <= (1 + delta) * opt for z in out)
             assert min_pairwise_distance(out) >= Fraction(1, 2) * (1 - delta) * best
