@@ -141,11 +141,12 @@ def _config(args):
     )
 
 
-def _plan(formula, args):
-    """The Schoening plan, refused before any solve when even one anchored
-    call around a single start would exceed the walk cap."""
+def _plan(formula, args, distance_sum=False):
+    """The Schoening plan, refused before any solve when the first oracle
+    call would exceed the walk cap: around the seed and the all-zeros
+    point for min-distance, around the seed alone from r = 0 for sums."""
     plan = make_plan(formula.n, max(formula.k, 2), args.delta, args.variant)
-    anchored_walks(plan, args.effort, 1)
+    anchored_walks(plan, args.effort, *((1, 0) if distance_sum else (2,)))
     return plan
 
 
@@ -235,7 +236,7 @@ def _cmd_disperse(args, report):
             witness = sum_disperse(formula, args.s, oracle, ppz_seeder(cfg))
         report.counters["oracle_calls"] = oracle.calls
     else:  # schoening
-        plan = _plan(formula, args)
+        plan = _plan(formula, args, objective is not DispersionObjective.MIN_PD)
         if objective is DispersionObjective.MIN_PD:
             witness = disperse_weighted_min(
                 formula, args.s, w if w is not None else 0, kind, plan, cfg

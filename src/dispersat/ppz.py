@@ -171,9 +171,8 @@ class _Engine:
 
 
 def packed_engine(formula, cls):
-    """`cls(formula)`, built once per formula or set family: the PPZ
-    `_Engine`, the Schoening `_Walker` or the hitting-set `_Extender`,
-    which all hold a key in one int64."""
+    """`cls(formula)`, built once per formula: the PPZ `_Engine` or the
+    Schoening `_Walker`, which both hold a key in one int64."""
     check_key_width(formula.n)
     engines = vars(formula).setdefault("_engines", {})
     if cls not in engines:

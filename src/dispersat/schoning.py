@@ -174,6 +174,17 @@ class _Walker:
         for ci, row in enumerate(bits):
             self.lits[ci, : len(row)] = row
 
+    def first_violated(self, x):
+        """Index of the first clause each word of x violates, m if none,
+        tested _GROUP_WALKS words at a time."""
+        first = np.full(len(x), len(self.var), dtype=np.intp)
+        for lo in range(0, len(x), _GROUP_WALKS):
+            viol = x[lo : lo + _GROUP_WALKS] ^ self.neg
+            viol &= self.var
+            viol = viol == 0
+            first[lo : lo + _GROUP_WALKS] -= (viol * self.rank).max(0, initial=0)
+        return first
+
     def run(self, starts, lengths, uniforms):
         """Walk i starts at starts[i] and makes at most lengths[i] flips;
         flip s takes literal floor(uniforms[i, s] * width) of the first
@@ -181,16 +192,10 @@ class _Walker:
         end keys, satisfied), exactly as schoning_walk walks each."""
         x = starts.astype(self.word)
         ok = np.zeros(len(x), dtype=bool)
-        m = len(self.var)
-        if not m:
-            return x.astype(np.int64), ~ok
         live = np.arange(len(x))
         for step in range(uniforms.shape[1] + 1):
-            viol = x[live] ^ self.neg
-            viol &= self.var
-            viol = viol == 0
-            clause = m - (viol * self.rank).max(axis=0).astype(np.intp)
-            ok[live[clause == m]] = True
+            clause = self.first_violated(x[live])
+            ok[live[clause == len(self.var)]] = True
             width = self.width[clause]
             go = (width > 0) & (step < lengths[live])
             live, clause, width = live[go], clause[go], width[go]
@@ -199,6 +204,35 @@ class _Walker:
             pick = (uniforms[live, step] * width).astype(np.intp)
             x[live] ^= self.lits[clause, pick]
         return x.astype(np.int64), ok
+
+    def extend(self, keys, t):
+        """Task i's extension of keys[i] within t[i] additions, as
+        hitting_set_monotone_search finds it on a formula of positive
+        clauses, where a walk flip only adds: (int64 keys, hit).
+
+        The branch trees grow level by level, children in node order and
+        then literal order, so each level lists a task's nodes in
+        depth-first preorder.  A task keeps only the nodes before its
+        first feasible node of the level and records that node; every
+        record therefore precedes the earlier ones in preorder, and the
+        last one is the first feasible node of the depth-first search.
+        """
+        out = np.zeros(len(keys), dtype=np.int64)
+        hit = np.zeros(len(keys), dtype=bool)
+        node, task = keys.astype(self.word), np.arange(len(keys))
+        for depth in itertools.count():
+            first = self.first_violated(node)
+            done = np.flatnonzero(first == len(self.var))
+            done = done[np.diff(task[done], prepend=-1) != 0]  # first per task
+            out[task[done]], hit[task[done]] = node[done], True
+            cut = np.full(len(keys), len(node))
+            cut[task[done]] = done
+            keep = (np.arange(len(node)) < cut[task]) & (depth < t[task])
+            if not keep.any():
+                return out, hit
+            node, task, first = node[keep], task[keep], first[keep]
+            row, pick = np.nonzero(self.lits[first])  # rows are 0-padded
+            node, task = node[row] | self.lits[first[row], pick], task[row]
 
 
 def schoning_walk(formula, z, steps, rng):

@@ -4,13 +4,12 @@ hitting sets.
 
 Subsets of the ground set [n] double as hypercube points, and the
 hitting-set reduction keeps their weights and distances, so the whole
-dispersion machinery carries over once the extension search replaces
-the CNF walk.
+dispersion machinery carries over, with an extension search on the
+reduction's walk engine in place of the CNF walk.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,10 +26,14 @@ from .cnf import (
 )
 from .dispersion import FarthestOracle, gonzalez_min
 from .measures import popcount
-from .ppz import packed_engine, word_for
-from .schoning import BudgetPlan, anchored_farthest_min, anchored_walks, weight_window
-
-_NODE_CHUNK = 1 << 11  # nodes per set test; bounds memory, not the search
+from .ppz import packed_engine
+from .schoning import (
+    BudgetPlan,
+    _Walker,
+    anchored_farthest_min,
+    anchored_walks,
+    weight_window,
+)
 
 
 @dataclass(frozen=True)
@@ -94,16 +97,19 @@ def parse_graph(text):
     if not lines:
         raise ParseError("empty graph input")
     lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise ParseError("expected 'n m' header", lineno)
-    n, m = _ints(header, lineno)
+    header = _ints(header, lineno)
+    if len(header) != 2 or header[0] < 0:
+        raise ParseError("expected 'n m' header with n >= 0", lineno)
+    n, m = header
     edges = []
     for lineno, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
+        edge = _ints(line, lineno)
+        if len(edge) != 2:
             raise ParseError("expected 'u v' edge", lineno)
-        edges.append(tuple(_ints(line, lineno)))
+        try:
+            edges += Graph.from_edges(n, [edge]).edges
+        except ValueError as err:
+            raise ParseError(str(err), lineno) from None
     if len(edges) != m:
         raise ParseError(f"header declared {m} edges, found {len(edges)}")
     return Graph.from_edges(n, edges)
@@ -118,6 +124,8 @@ def parse_set_family(text):
         if not line or line.startswith("#"):
             continue
         elems = _ints(line, lineno)
+        if min(elems) < 1:
+            raise ParseError(f"set element {min(elems)} below 1", lineno)
         sets.append(elems)
         top = max(top, max(elems))
     if not sets:
@@ -164,77 +172,16 @@ def hitting_set_monotone_search(family, base, t):
     return base
 
 
-class _Extender:
-    """Packed hitting_set_monotone_search over a block of starts, one
-    int64 key per node of the branch trees.
-
-    Row i < m of the tables is set i: `mask[i]` has its elements in an
-    n-bit word (element e is bit n - e, as in keys), `elems[i, j]` its
-    j-th smallest one and `width[i]` its size.  Row m is an empty set
-    that no key hits, so the first set a key misses is the argmax of
-    `(key & mask) == 0`, and it is m exactly when the key hits them all.
-    """
-
-    def __init__(self, family):
-        n = family.n
-        bits = [[1 << (n - e) for e in sorted(s)] for s in family.sets] + [[]]
-        self.mask = np.array([sum(row) for row in bits], dtype=word_for(n))
-        self.width = np.array([len(row) for row in bits], dtype=np.intp)
-        self.elems = np.zeros((len(bits), max(family.d, 1)), dtype=np.int64)
-        for i, row in enumerate(bits):
-            self.elems[i, : len(row)] = row
-
-    def first_missed(self, keys):
-        """Index of the first set each key misses (m if none), computed
-        _NODE_CHUNK keys at a time."""
-        first = np.empty(len(keys), dtype=np.intp)
-        for lo in range(0, len(keys), _NODE_CHUNK):
-            chunk = keys[lo : lo + _NODE_CHUNK].astype(self.mask.dtype)
-            miss = (chunk[:, None] & self.mask) == 0
-            first[lo : lo + _NODE_CHUNK] = miss.argmax(axis=1)
-        return first
-
-    def run(self, keys, t):
-        """Task i's extension of keys[i] within t[i] additions, as
-        hitting_set_monotone_search finds it: (int64 keys, hit).
-
-        The branch trees grow level by level, children in node order and
-        then element order, so each level lists a task's nodes in
-        depth-first preorder.  A task keeps only the nodes before its
-        first feasible node of the level and records that node; every
-        record therefore precedes the earlier ones in preorder, and the
-        last one is the first feasible node of the depth-first search.
-        """
-        out = np.zeros(len(keys), dtype=np.int64)
-        hit = np.zeros(len(keys), dtype=bool)
-        node, task = keys, np.arange(len(keys))
-        for depth in itertools.count():
-            first = self.first_missed(node)
-            done = np.flatnonzero(first == len(self.mask) - 1)
-            done = done[np.diff(task[done], prepend=-1) != 0]  # first per task
-            out[task[done]], hit[task[done]] = node[done], True
-            cut = np.full(len(keys), len(node))
-            cut[task[done]] = done
-            keep = (np.arange(len(node)) < cut[task]) & (depth < t[task])
-            if not keep.any():
-                return out, hit
-            node, task, first = node[keep], task[keep], first[keep]
-            width = self.width[first]
-            real = np.arange(self.elems.shape[1]) < width[:, None]
-            node = (node[:, None] | self.elems[first])[real]
-            task = np.repeat(task, width)
-
-
-def _extension_search(family):
-    """The anchored search's block search for hitting sets of `family`:
+def _extension_search(formula):
+    """The anchored search's block search on a hitting-set reduction:
     `search(keys, t, blocks)` -> (int64 keys, hit) extends every start
     keys[i] within t[i] additions, as hitting_set_monotone_search does,
     and draws from no generator of `blocks`.  A tree of depth t has at
     most d^t <= ceil(c^t) leaves, the count the anchored cap charges per
-    task.  The tables are built on first use, once per family."""
+    task.  The walk engine is built on first use, once per formula."""
 
     def search(keys, t, blocks):
-        out, hit = packed_engine(family, _Extender).run(keys, t)
+        out, hit = packed_engine(formula, _Walker).extend(keys, t)
         if ((out & keys) != keys)[hit].any() or (popcount(out ^ keys) > t)[hit].any():
             raise AssertionError("extension left its cone")
         return out, hit
@@ -288,7 +235,8 @@ def diverse_min(family, s, delta, cfg):
         anchored_walks(plan, cfg.effort, 2)  # the first oracle call's cap
     opt, witness = minimum_feasible_weight(family)
     window = weight_window(delta, opt)
-    search = _extension_search(family)
+    formula = reduce_hitting_set(family)
+    search = _extension_search(formula)
 
     def fn(formula, anchors, salt):
         runs = [(cfg.spawn(2, *salt), window)]
@@ -296,9 +244,7 @@ def diverse_min(family, s, delta, cfg):
 
     seed = _set_to_assignment(n, witness)
     try:
-        return gonzalez_min(
-            reduce_hitting_set(family), s, FarthestOracle("min", fn), lambda _: seed
-        )
+        return gonzalez_min(formula, s, FarthestOracle("min", fn), lambda _: seed)
     except PartialSetError as err:
         raise InfeasibleError(
             f"fewer than {s} qualifying dispersed sets found at this budget"

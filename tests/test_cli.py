@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dispersat
-from dispersat import cli
+from dispersat import cli, dispersion
 from dispersat.cli import probe_speedup, run
 from dispersat.cnf import Assignment
 from dispersat.generators import planted_kcnf
@@ -112,7 +112,31 @@ class TestTooLarge:
         assert time.perf_counter() - started < 5
         assert code == 1
         assert data["status"] == "TOO_LARGE"
-        assert "2727827158 walks (n=40), above the cap" in data["message"]
+        assert "5455654316 walks (n=40), above the cap" in data["message"]
+
+    @pytest.mark.parametrize("command", ["disperse", "diameter"])
+    def test_schoening_first_call_checked_before_the_seed_solve(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """At n=32, k=3 one start plans under the cap and the first oracle
+        call's two starts plan over it, so the check must count two."""
+
+        def solve(formula, cfg):
+            raise AssertionError("the seed solve ran before the cap check")
+
+        monkeypatch.setattr(cli, "schoning_solve_counted", solve)
+        monkeypatch.setattr(dispersion, "schoning_solve_counted", solve)
+        formula, _ = planted_kcnf(32, 3, 128, np.random.default_rng(0))
+        path = tmp_path / "n32.cnf"
+        path.write_text(formula.to_dimacs())
+        argv = [command, "--algo", "schoening", str(path)]
+        if command == "disperse":
+            argv[1:1] = ["--s", "3"]
+        code = run(argv)
+        data = capture(capsys)
+        assert code == 1
+        assert data["status"] == "TOO_LARGE"
+        assert "114465556 walks (n=32), above the cap" in data["message"]
 
 
 class TestModuleEntry:
@@ -341,6 +365,69 @@ class TestDiverseMinGolden:
     )
     def test_pinned_report(self, monkeypatch, capsys, text, argv, expected):
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(argv.split()) == 0
+        data = capture(capsys)
+        data.pop("wall_time_ms")
+        assert json.dumps(data, sort_keys=True) == expected
+
+
+F10 = (
+    "p cnf 10 24\n-3 8 -9 0\n-1 -3 7 0\n4 7 -10 0\n6 -7 10 0\n1 8 -10 0\n"
+    "-3 4 8 0\n1 -3 -10 0\n3 4 10 0\n1 8 10 0\n5 6 -9 0\n-7 8 -10 0\n"
+    "6 7 8 0\n3 5 -10 0\n-2 -5 7 0\n6 8 10 0\n1 -4 7 0\n-3 5 10 0\n"
+    "-2 6 -10 0\n5 6 -9 0\n-4 6 -7 0\n-4 7 10 0\n-3 -7 -10 0\n-3 -5 6 0\n"
+    "-1 2 10 0\n"
+)
+
+
+class TestSchoeningGolden:
+    """Seeded Schoening reports on a fixed planted 3-CNF, pinned byte for
+    byte apart from `wall_time_ms`, so that refactors of the packed walk
+    engine keep the seeded outputs."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                "disperse --algo schoening --s 3 --weight-min 5 --seed 11 -",
+                '{"assignments": ["1101111111", "0010110100", "0000101101"], '
+                '"command": "disperse --algo schoening --s 3 --weight-min 5 --seed 11 -", '
+                '"counters": {}, "schema_version": 1, "seed": 11, "status": "OK", '
+                '"values": {"minPD": 4, "sumPD": 16}}',
+            ),
+            (
+                "disperse --algo schoening --s 3 --weight-max 5 --seed 12 -",
+                '{"assignments": ["0000101101", "1101011010", "0010110110"], '
+                '"command": "disperse --algo schoening --s 3 --weight-max 5 --seed 12 -", '
+                '"counters": {}, "schema_version": 1, "seed": 12, "status": "OK", '
+                '"values": {"minPD": 5, "sumPD": 20}}',
+            ),
+            (
+                "disperse --algo schoening --s 3 --seed 13 -",
+                '{"assignments": ["0100111111", "1001100101", "1101011000"], '
+                '"command": "disperse --algo schoening --s 3 --seed 13 -", '
+                '"counters": {}, "schema_version": 1, "seed": 13, "status": "OK", '
+                '"values": {"minPD": 6, "sumPD": 18}}',
+            ),
+            (
+                "disperse --algo schoening --s 3 --objective sum --seed 14 -",
+                '{"assignments": ["1111111100", "0000101101", "1001110011"], '
+                '"command": "disperse --algo schoening --s 3 --objective sum --seed 14 -", '
+                '"counters": {"oracle_calls": 5}, "schema_version": 1, "seed": 14, '
+                '"status": "OK", "values": {"minPD": 6, "sumPD": 18}}',
+            ),
+            (
+                "diameter --algo schoening --seed 15 -",
+                '{"assignments": ["1001111111", "0010110100"], '
+                '"command": "diameter --algo schoening --seed 15 -", '
+                '"counters": {}, "schema_version": 1, "seed": 15, "status": "OK", '
+                '"values": {"distance": 6}}',
+            ),
+        ],
+        ids=["weight-min", "weight-max", "unweighted", "sum", "diameter"],
+    )
+    def test_pinned_report(self, monkeypatch, capsys, argv, expected):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(F10))
         assert run(argv.split()) == 0
         data = capture(capsys)
         data.pop("wall_time_ms")

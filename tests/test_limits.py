@@ -32,7 +32,13 @@ from dispersat.schoning import (
     schoning_solve_counted,
     schoning_walk,
 )
-from dispersat.subsets import Graph, SetFamily, _extension_search, diverse_min
+from dispersat.subsets import (
+    Graph,
+    SetFamily,
+    _extension_search,
+    diverse_min,
+    reduce_hitting_set,
+)
 
 F64 = CnfFormula(64, [(1, 2), (3, -4)])
 CFG = OracleConfig(seed=1, repetitions=8)
@@ -107,7 +113,8 @@ def test_schoning_solve_refuses_64_bits():
 
 def test_packed_extension_search_refuses_64_bits():
     """The hitting-set tables refuse n = 64 before building an int64 mask."""
-    search = _extension_search(edge_family(Graph.from_edges(64, [(1, 64)])))
+    family = edge_family(Graph.from_edges(64, [(1, 64)]))
+    search = _extension_search(reduce_hitting_set(family))
     keys = np.zeros(1, dtype=np.int64)
     with pytest.raises(CapabilityError, match="n=64 exceeds the 63-bit key limit"):
         search(keys, np.ones(1, dtype=np.int64), None)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dispersat import subsets
+from dispersat import schoning, subsets
 from dispersat.brute import enumerate_solutions
 from dispersat.cnf import ParseError
 from dispersat.measures import min_pairwise_distance
@@ -93,6 +93,23 @@ class TestParsers:
         ids=["graph-header", "graph-edge", "family"],
     )
     def test_non_integer_token_names_its_line(self, parse, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_graph, "-2 0\n", "line 1: expected 'n m' header with n >= 0"),
+            (parse_graph, "3 2\n1 2\n# c\n2 2\n", "line 4: self-loop at vertex 2"),
+            (parse_graph, "4 2\n1 2\n1 5\n", "line 3: edge (1,5) out of range"),
+            (parse_graph, "4 1\n0 2\n", "line 2: edge (0,2) out of range"),
+            (parse_set_family, "1 2\n\n3 0 4\n", "line 3: set element 0 below 1"),
+            (parse_set_family, "-1\n", "line 1: set element -1 below 1"),
+        ],
+        ids=["negative-n", "self-loop", "above-n", "zero-vertex", "zero-elem", "negative-elem"],
+    )
+    def test_range_errors_name_their_line(self, parse, text, message):
         with pytest.raises(ParseError) as err:
             parse(text)
         assert str(err.value) == message
@@ -201,7 +218,7 @@ class TestPackedExtensionSearch:
     def check_block(self, family, bases, ts):
         n = family.n
         keys = np.array([_set_to_assignment(n, b).key for b in bases], dtype=np.int64)
-        search = subsets._extension_search(family)
+        search = subsets._extension_search(reduce_hitting_set(family))
         out, hit = search(keys, np.array(ts, dtype=np.int64), None)
         hits = 0
         for i, (base, t) in enumerate(zip(bases, ts)):
@@ -215,7 +232,7 @@ class TestPackedExtensionSearch:
     @pytest.mark.parametrize("chunk", [1, 3, None])
     def test_matches_recursive_search(self, monkeypatch, chunk):
         if chunk is not None:
-            monkeypatch.setattr(subsets, "_NODE_CHUNK", chunk)
+            monkeypatch.setattr(schoning, "_GROUP_WALKS", chunk)
         rng = random.Random(64)
         hits = starts = 0
         for n in [*range(1, 15)] * 12 + [62, 63] * 6:
@@ -247,13 +264,13 @@ class TestPackedExtensionSearch:
         script = """
 import numpy as np
 from fractions import Fraction
-from dispersat import subsets
+from dispersat import schoning, subsets
 from dispersat.ppz import OracleConfig
 
 def outside(self, keys, t):
     return keys ^ 1, np.ones(len(keys), dtype=bool)
 
-subsets._Extender.run = outside
+schoning._Walker.extend = outside
 family = subsets.SetFamily.from_lists(4, [[1, 2], [3, 4]])
 try:
     subsets.diverse_min(family, 2, Fraction(1, 2), OracleConfig(seed=3))
@@ -279,8 +296,9 @@ except AssertionError as err:
         def run(self, keys, t):
             return escape(keys), np.ones(len(keys), dtype=bool)
 
-        monkeypatch.setattr(subsets._Extender, "run", run)
-        search = subsets._extension_search(SetFamily.from_lists(6, [[1]]))
+        monkeypatch.setattr(schoning._Walker, "extend", run)
+        family = SetFamily.from_lists(6, [[1]])
+        search = subsets._extension_search(reduce_hitting_set(family))
         with pytest.raises(AssertionError, match="extension left its cone"):
             search(np.array([0b110000]), np.array([3]), None)
 
