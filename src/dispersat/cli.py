@@ -235,21 +235,20 @@ def _cmd_disperse(args, report):
             )
             witness = sum_disperse(formula, args.s, oracle, ppz_seeder(cfg))
         report.counters["oracle_calls"] = oracle.calls
+    elif objective is DispersionObjective.SUM_PD_DISTINCT:  # schoening
+        raise UsageError(
+            "sum-distinct dispersion is available with --algo ppz, exact, fwht, or clique"
+        )
     else:  # schoening
         plan = _plan(formula, args, objective is not DispersionObjective.MIN_PD)
         if objective is DispersionObjective.MIN_PD:
             witness = disperse_weighted_min(
                 formula, args.s, w if w is not None else 0, kind, plan, cfg
             )
-        elif objective is DispersionObjective.SUM_PD:
+        else:
             oracle = schoning_sum_oracle(plan, cfg)
             witness = sum_disperse(formula, args.s, oracle, schoning_seeder(cfg))
             report.counters["oracle_calls"] = oracle.calls
-        else:
-            raise UsageError(
-                "sum-distinct dispersion is available with --algo ppz, "
-                "exact, fwht, or clique"
-            )
     report.assignments = _verified_strings(formula, witness.members)
     report.values["minPD"] = min_pairwise_distance(witness)
     report.values["sumPD"] = sum_pairwise_distance(witness)

@@ -40,6 +40,10 @@ class OracleConfig:
     repetitions: int | None = None
     effort: float = 1.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.effort) and self.effort > 0):
+            raise ValueError(f"effort must be finite and > 0, got {self.effort}")
+
     def resolve(self, n, k):
         return self.budget(n, 2 ** (n - n / max(k, 1)))
 

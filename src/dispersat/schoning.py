@@ -25,6 +25,7 @@ from .ppz import packed_engine, word_for
 
 _TASK_BLOCK = 1 << 9  # anchored tasks per seeded block (seed format 2)
 _GROUP_WALKS = 3 << 10  # planned walks per packed group; bounds memory, not the stream
+_LEVEL_NODES = 1 << 20  # nodes of one extension-search level, which is held whole
 
 
 def entropy(x):
@@ -206,9 +207,10 @@ class _Walker:
         return x.astype(np.int64), ok
 
     def extend(self, keys, t):
-        """Task i's extension of keys[i] within t[i] additions, as
-        hitting_set_monotone_search finds it on a formula of positive
-        clauses, where a walk flip only adds: (int64 keys, hit).
+        """Task i's first extension of keys[i] within t[i] additions by
+        depth-first branching on the first violated clause's literals, on
+        a formula of positive clauses, where a flip only adds: (int64
+        keys, hit).
 
         The branch trees grow level by level, children in node order and
         then literal order, so each level lists a task's nodes in
@@ -216,6 +218,7 @@ class _Walker:
         first feasible node of the level and records that node; every
         record therefore precedes the earlier ones in preorder, and the
         last one is the first feasible node of the depth-first search.
+        A level above _LEVEL_NODES nodes is refused before it is built.
         """
         out = np.zeros(len(keys), dtype=np.int64)
         hit = np.zeros(len(keys), dtype=bool)
@@ -231,6 +234,11 @@ class _Walker:
             if not keep.any():
                 return out, hit
             node, task, first = node[keep], task[keep], first[keep]
+            if (count := int(self.width[first].sum())) > _LEVEL_NODES:
+                raise CapabilityError(
+                    f"the extension search's level {depth + 1} would hold "
+                    f"{count} nodes, above the cap of {_LEVEL_NODES}"
+                )
             row, pick = np.nonzero(self.lits[first])  # rows are 0-padded
             node, task = node[row] | self.lits[first[row], pick], task[row]
 

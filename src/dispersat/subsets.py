@@ -1,11 +1,11 @@
-"""Subset-problem applications: isometric reductions to CNF, monotone
-local search for hitting sets, and diverse approximately-minimum
-hitting sets.
+"""Subset-problem applications: isometric reductions to CNF, the
+monotone extension search for hitting sets, and diverse
+approximately-minimum hitting sets.
 
 Subsets of the ground set [n] double as hypercube points, and the
 hitting-set reduction keeps their weights and distances, so the whole
-dispersion machinery carries over, with an extension search on the
-reduction's walk engine in place of the CNF walk.
+dispersion machinery carries over.  One extension search on the
+reduction's walk engine serves the OPT deepening and the anchored search.
 """
 
 from __future__ import annotations
@@ -136,8 +136,7 @@ def parse_set_family(text):
 def reduce_vertex_cover(graph):
     """2-CNF whose solutions are exactly the vertex covers, with identical
     weights and pairwise distances (an isometric reduction)."""
-    clauses = [(u, v) for u, v in graph.edges]
-    return CnfFormula(graph.num_vertices, clauses)
+    return CnfFormula(graph.num_vertices, graph.edges)
 
 
 def reduce_independent_set(graph):
@@ -148,28 +147,26 @@ def reduce_independent_set(graph):
 
 def reduce_hitting_set(family):
     """d-CNF whose solutions are exactly the hitting sets of the family."""
-    clauses = [tuple(sorted(s)) for s in family.sets]
-    return CnfFormula(family.n, clauses)
+    return CnfFormula(family.n, family.sets)
 
 
 def hitting_set_monotone_search(family, base, t):
     """Feasible superset of `base` within t additions, by branching on
-    the first un-hit set (at most d branches, depth t)."""
+    the first un-hit set (at most d branches, depth t): one task of the
+    packed extension search, on the family's hitting-set reduction."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    base = frozenset(base)
-    for s in family.sets:
-        if not s & base:
-            if t == 0:
-                return None
-            for element in sorted(s):
-                found = hitting_set_monotone_search(
-                    family, base | {element}, t - 1
-                )
-                if found is not None:
-                    return found
-            return None
-    return base
+    walker = packed_engine(_reduction(family), _Walker)  # checks the key width
+    keys = np.array([_set_to_assignment(family.n, base).key], dtype=np.int64)
+    out, hit = walker.extend(keys, np.array([t]))
+    return _assignment_to_set(Assignment(family.n, int(out[0]))) if hit[0] else None
+
+
+def _reduction(family):
+    """reduce_hitting_set(family), built once per family with its engines."""
+    if "_reduction" not in vars(family):
+        vars(family)["_reduction"] = reduce_hitting_set(family)
+    return vars(family)["_reduction"]
 
 
 def _extension_search(formula):
@@ -190,20 +187,11 @@ def _extension_search(formula):
 
 
 def _set_to_assignment(n, subset):
-    key = 0
-    for e in subset:
-        key |= 1 << (n - e)
-    return Assignment(n, key)
+    return Assignment(n, sum(1 << (n - e) for e in set(subset)))
 
 
 def _assignment_to_set(z):
-    members = []
-    key = z.key
-    while key:
-        low = key & -key
-        members.append(z.n + 1 - low.bit_length())
-        key ^= low
-    return frozenset(members)
+    return frozenset(z.n - i for i in range(z.n) if z.key >> i & 1)
 
 
 def minimum_feasible_weight(family):
@@ -235,7 +223,7 @@ def diverse_min(family, s, delta, cfg):
         anchored_walks(plan, cfg.effort, 2)  # the first oracle call's cap
     opt, witness = minimum_feasible_weight(family)
     window = weight_window(delta, opt)
-    formula = reduce_hitting_set(family)
+    formula = _reduction(family)
     search = _extension_search(formula)
 
     def fn(formula, anchors, salt):

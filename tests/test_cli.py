@@ -139,6 +139,59 @@ class TestTooLarge:
         assert "114465556 walks (n=32), above the cap" in data["message"]
 
 
+    @pytest.mark.parametrize("n", [8, 40])
+    def test_schoening_sum_distinct_is_a_usage_error_at_any_size(
+        self, tmp_path, capsys, n
+    ):
+        """The unsupported objective is refused before the plan's cap
+        check, so a large formula gets the same usage error as a small one."""
+        formula, _ = planted_kcnf(n, 3, 4 * n, np.random.default_rng(0))
+        path = tmp_path / f"n{n}.cnf"
+        path.write_text(formula.to_dimacs())
+        argv = ["disperse", "--s", "3", "--objective", "sum-distinct"]
+        assert run(argv + ["--algo", "schoening", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sum-distinct dispersion is available with --algo ppz" in captured.err
+
+    def test_diverse_min_deepening_refused_on_a_60_vertex_path(self, tmp_path, capsys):
+        """With s = 1 no anchored search runs; the OPT deepening (OPT = 30)
+        is refused at its first level above schoning._LEVEL_NODES."""
+        path = tmp_path / "path60.txt"
+        path.write_text("60 59\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 60)))
+        started = time.perf_counter()
+        code = run(["diverse-min", "--problem", "vc", "--s", "1", str(path)])
+        data = capture(capsys)
+        assert time.perf_counter() - started < 5
+        assert code == 1
+        assert data["status"] == "TOO_LARGE"
+        assert "level 21 would hold 2097152 nodes, above the cap" in data["message"]
+
+
+class TestEffort:
+    """--effort must be finite and positive: an infinite one ended in an
+    OverflowError traceback, and 0 or a negative one silently ran the
+    one-repetition minimum."""
+
+    @pytest.mark.parametrize("effort", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["disperse", "--s", "2", "--algo", "ppz"], OR2),
+            (["diameter", "--algo", "schoening"], OR2),
+            (["diverse-min", "--problem", "hs", "--s", "2"], "1 2\n3 4\n"),
+        ],
+        ids=["disperse-ppz", "diameter-schoening", "diverse-min"],
+    )
+    def test_rejected_as_usage_error(self, tmp_path, capsys, argv, text, effort):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        assert run(argv + [f"--effort={effort}", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "effort must be finite and > 0" in captured.err
+
+
 class TestModuleEntry:
     def test_python_m_prints_a_report(self, tmp_path):
         path = tmp_path / "or2.cnf"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dispersat
-from dispersat import subsets
+from dispersat import schoning, subsets
 from dispersat.brute import enumerate_solutions
 from dispersat.cnf import Assignment, CapabilityError, CnfFormula
 from dispersat.dispersion import gonzalez_min, ppz_min_oracle, ppz_seeder
@@ -37,6 +37,7 @@ from dispersat.subsets import (
     SetFamily,
     _extension_search,
     diverse_min,
+    hitting_set_monotone_search,
     reduce_hitting_set,
 )
 
@@ -85,6 +86,9 @@ ENTRY_POINTS = {
         2,
         Fraction(1, 2),
         CFG,
+    ),
+    "hitting_set_monotone_search": lambda: hitting_set_monotone_search(
+        SetFamily.from_lists(64, [(1, 64)]), {1}, 1
     ),
     "planted_kcnf": lambda: planted_kcnf(64, 3, 10, _rng()),
     "random_kcnf": lambda: random_kcnf(64, 3, 10, _rng()),
@@ -159,3 +163,48 @@ def test_diverse_min_checks_the_anchored_cap_before_the_deepening(monkeypatch):
     path = Graph.from_edges(36, [(v, v + 1) for v in range(1, 36)])
     with pytest.raises(CapabilityError, match=r"1149656268 walks \(n=36\)"):
         diverse_min(edge_family(path), 2, Fraction(1, 2), CFG)
+
+
+# A tree that branches three ways on {1, 2, 3}, then two ways on {4, 5}
+# below each child: its levels 1 and 2 hold 3 and 6 nodes.
+TWO_LEVELS = SetFamily.from_lists(5, [[1, 2, 3], [4, 5]])
+
+
+@pytest.mark.parametrize(
+    "cap, t, expected",
+    [
+        (6, 2, {1, 4}),
+        (5, 2, "level 2 would hold 6 nodes, above the cap of 5"),
+        (3, 1, None),
+        (2, 1, "level 1 would hold 3 nodes, above the cap of 2"),
+    ],
+)
+def test_extension_search_refuses_a_level_above_the_cap(monkeypatch, cap, t, expected):
+    """A level of exactly schoning._LEVEL_NODES nodes is built; one node
+    more is refused."""
+    monkeypatch.setattr(schoning, "_LEVEL_NODES", cap)
+    if isinstance(expected, str):
+        with pytest.raises(CapabilityError, match=expected):
+            hitting_set_monotone_search(TWO_LEVELS, frozenset(), t)
+    else:
+        assert hitting_set_monotone_search(TWO_LEVELS, frozenset(), t) == expected
+
+
+def test_extension_search_refuses_before_building_the_level(monkeypatch):
+    """The level's nodes are counted from its parents' clause widths;
+    np.nonzero over the parents' literal rows, which builds the level,
+    never runs."""
+    real = np.nonzero
+
+    def nonzero(a):
+        if np.ndim(a) > 1:
+            raise AssertionError("a level was built")
+        return real(a)
+
+    monkeypatch.setattr(np, "nonzero", nonzero)
+    monkeypatch.setattr(schoning, "_LEVEL_NODES", 3)
+    with pytest.raises(AssertionError, match="a level was built"):
+        hitting_set_monotone_search(TWO_LEVELS, frozenset(), 1)
+    monkeypatch.setattr(schoning, "_LEVEL_NODES", 2)
+    with pytest.raises(CapabilityError, match="level 1 would hold 3 nodes"):
+        hitting_set_monotone_search(TWO_LEVELS, frozenset(), 1)

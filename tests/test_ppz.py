@@ -268,6 +268,13 @@ class TestSolve:
         with pytest.raises(ValueError):
             OracleConfig(seed=0, repetitions=0).resolve(5, 3)
 
+    @pytest.mark.parametrize("effort", [math.inf, math.nan, 0, 0.0, -1])
+    def test_effort_must_be_finite_and_positive(self, effort):
+        """An infinite effort overflowed `math.ceil` in the budget, and a
+        nonpositive one silently ran the one-repetition minimum."""
+        with pytest.raises(ValueError, match="effort must be finite and > 0"):
+            OracleConfig(seed=0, effort=effort)
+
 
 class TestFarthest:
     def test_farthest_from_all_ones(self):

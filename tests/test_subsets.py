@@ -28,6 +28,8 @@ from dispersat.subsets import (
     _set_to_assignment,
 )
 
+import reference_search
+
 TRIANGLE = Graph.from_edges(3, [(1, 2), (2, 3), (1, 3)])
 
 
@@ -222,7 +224,7 @@ class TestPackedExtensionSearch:
         out, hit = search(keys, np.array(ts, dtype=np.int64), None)
         hits = 0
         for i, (base, t) in enumerate(zip(bases, ts)):
-            want = hitting_set_monotone_search(family, base, t)
+            want = reference_search.hitting_set_monotone_search(family, base, t)
             assert bool(hit[i]) == (want is not None)
             if want is not None:
                 assert int(out[i]) == _set_to_assignment(n, want).key
