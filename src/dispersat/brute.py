@@ -129,11 +129,7 @@ def brute_opt(formula, s, objective, weight=NO_WEIGHT):
     if not solutions:
         raise UnsatError("formula has no satisfying assignment")
     pool = _filter_weight(solutions, weight)
-    needs_set = objective in (
-        DispersionObjective.MIN_PD,
-        DispersionObjective.SUM_PD_DISTINCT,
-    )
-    if needs_set and len(pool) < s:
+    if objective.distinct and len(pool) < s:
         raise InfeasibleError(
             f"only {len(pool)} qualifying solutions, need a set of {s}"
         )
@@ -152,10 +148,7 @@ def brute_opt(formula, s, objective, weight=NO_WEIGHT):
         val, idx = _best_sum_pd(dmat, s, with_replacement=True)
     else:
         val, idx = _best_sum_pd(dmat, s, with_replacement=False)
-    witness = SolutionCollection(
-        [pool[i] for i in idx], distinct=needs_set
-    )
-    return val, witness
+    return val, SolutionCollection([pool[i] for i in idx], objective.distinct)
 
 
 def farthest_min(formula, anchors):

@@ -217,22 +217,18 @@ def _cmd_disperse(args, report):
         witness = exact_dispersion(formula, args.s, objective)
     elif args.algo == "clique":
         points = enumerate_solutions(formula).members
+        if not points:
+            raise UnsatError("formula has no satisfying assignment")
         if objective is DispersionObjective.MIN_PD:
             witness = opt_min_clique(points, args.s)
         else:
-            witness = opt_sum_clique(
-                points,
-                args.s,
-                distinct=objective is DispersionObjective.SUM_PD_DISTINCT,
-            )
+            witness = opt_sum_clique(points, args.s, objective.distinct)
     elif args.algo == "ppz":
         if objective is DispersionObjective.MIN_PD:
             oracle = ppz_min_oracle(cfg)
             witness = gonzalez_min(formula, args.s, oracle, ppz_seeder(cfg))
         else:
-            oracle = ppz_sum_oracle(
-                cfg, exclude=objective is DispersionObjective.SUM_PD_DISTINCT
-            )
+            oracle = ppz_sum_oracle(cfg, exclude=objective.distinct)
             witness = sum_disperse(formula, args.s, oracle, ppz_seeder(cfg))
         report.counters["oracle_calls"] = oracle.calls
     elif objective is DispersionObjective.SUM_PD_DISTINCT:  # schoening

@@ -1,28 +1,32 @@
 """Exact dispersion over an explicit point set via triangle finding.
 
 The s points are split into three tuple groups; tuples become vertices
-of a tripartite graph whose edges encode distance thresholds, so an
-s-set with minPD >= d exists iff the graph for threshold d has a
-triangle.  Works for any points of the hypercube, not just solution
-spaces.
+of one tripartite graph whose vertex and edge weights fold the pairwise
+distances by min or by sum.  Thresholding the min-folded graph at d
+leaves a triangle iff an s-set with minPD >= d exists (Opt-min); the
+heaviest triangle of the sum-folded graph is the Opt-sum optimum.
+Works for any points of the hypercube, not just solution spaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
+from math import comb
 
 import numpy as np
 
-from .cnf import InfeasibleError
 from .brute import distance_matrix
+from .cnf import CapabilityError, InfeasibleError
 from .measures import (
     SolutionCollection,
     min_pairwise_distance,
     sum_pairwise_distance,
 )
 
-_NEG = -(10**12)  # forbidden edge weight, dominates any distance sum
+CLIQUE_BLOCK_LIMIT = 1 << 24  # int64 entries of one part-pair block
+_NEG = -(10**12)  # a point paired with itself; dominates any distance sum
+_PAIRS = ((0, 1), (0, 2), (1, 2))  # the part pairs of blocks 12, 13, 23
 
 
 @dataclass
@@ -51,131 +55,99 @@ def triangle_detect(graph):
     return i, j, k
 
 
-def _group_sizes(s):
-    return (s + 2) // 3, (s + 1) // 3, s // 3
+def _tuple_graph(x, s, fold, with_replacement):
+    """(points, parts, vertex weights, edge weights) of the tuple graph
+    for s-point subsets of the distinct points `x`, or s-point multisets
+    when `with_replacement`.
 
-
-def _tuples(m, g, with_replacement):
-    gen = combinations_with_replacement if with_replacement else combinations
-    arr = np.array(list(gen(range(m), g)), dtype=np.int64)
-    return arr.reshape(-1, g)
-
-
-def _intra_min(dmat, tuples):
-    g = tuples.shape[1]
-    if g == 1:
-        return np.full(tuples.shape[0], np.iinfo(np.int64).max, dtype=np.int64)
-    vals = None
-    for i in range(g):
-        for j in range(i + 1, g):
-            d = dmat[tuples[:, i], tuples[:, j]]
-            vals = d if vals is None else np.minimum(vals, d)
-    return vals
-
-
-def _intra_sum(dmat, tuples):
-    g = tuples.shape[1]
-    vals = np.zeros(tuples.shape[0], dtype=np.int64)
-    for i in range(g):
-        for j in range(i + 1, g):
-            vals += dmat[tuples[:, i], tuples[:, j]]
-    return vals
-
-
-def _cross(dmat, ta, tb, reduce_min):
-    out = None
-    for i in range(ta.shape[1]):
-        for j in range(tb.shape[1]):
-            d = dmat[ta[:, i][:, None], tb[None, :, j]]
-            if out is None:
-                out = d.copy()
-            elif reduce_min:
-                np.minimum(out, d, out=out)
-            else:
-                out += d
-    return out
-
-
-def _shares_point(ta, tb):
-    out = np.zeros((ta.shape[0], tb.shape[0]), dtype=bool)
-    for i in range(ta.shape[1]):
-        for j in range(tb.shape[1]):
-            out |= ta[:, i][:, None] == tb[None, :, j]
-    return out
-
-
-def _as_points(x):
-    members = list(x)
-    if len(set(members)) != len(members):
+    The s points split into three groups of sizes ceil(s/3), ..., and
+    part k holds every index tuple of group k's size; parts of equal
+    size share their arrays.  A vertex weight folds the distances inside
+    a tuple, and an edge weight (blocks 12, 13, 23) the distances across
+    two tuples, by `fold` (np.minimum or np.add) in place.  Without
+    replacement a point paired with itself weighs _NEG, so no triple
+    that shares a point qualifies.  The largest part-pair block is
+    counted first and refused above CLIQUE_BLOCK_LIMIT entries.
+    """
+    points = list(x)
+    if len(set(points)) != len(points):
         raise ValueError("points must be distinct")
-    return members
+    if s < 3:
+        hint = " (use the pairwise maximum for s=2)" if fold is np.minimum else ""
+        raise ValueError(f"s must be >= 3{hint}")
+    m = len(points)
+    if not with_replacement and m < s:
+        raise InfeasibleError(f"need {s} distinct points, have {m}")
+    sizes = ((s + 2) // 3, (s + 1) // 3, s // 3)
+    counts = [comb(m + (g - 1) * with_replacement, g) for g in sizes]
+    entries = max(counts[a] * counts[b] for a, b in _PAIRS)
+    if entries > CLIQUE_BLOCK_LIMIT:
+        raise CapabilityError(
+            f"s={s} over {m} points: a tuple-graph block of {entries} int64 "
+            f"entries exceeds the clique limit {CLIQUE_BLOCK_LIMIT}"
+        )
+    dmat = distance_matrix([p.key for p in points])
+    if not with_replacement:
+        np.fill_diagonal(dmat, _NEG)
+    identity = 0 if fold is np.add else np.iinfo(np.int64).max
+
+    def folded(shape, index_pairs):
+        out = np.full(shape, identity, dtype=np.int64)
+        for p, q in index_pairs:
+            fold(out, dmat[p, q], out=out)
+        return out
+
+    gen = combinations_with_replacement if with_replacement else combinations
+    tuples = {
+        g: np.array(list(gen(range(m), g)), dtype=np.int64).reshape(-1, g)
+        for g in set(sizes)
+    }
+    weights = {g: folded(len(t), combinations(t.T, 2)) for g, t in tuples.items()}
+    blocks = {}
+    for ga, gb in {(sizes[a], sizes[b]) for a, b in _PAIRS}:
+        ta, tb = tuples[ga], tuples[gb]
+        blocks[ga, gb] = folded(
+            (len(ta), len(tb)), product(ta.T[:, :, None], tb.T[:, None, :])
+        )
+    return (
+        points,
+        tuple(tuples[g] for g in sizes),
+        tuple(weights[g] for g in sizes),
+        tuple(blocks[sizes[a], sizes[b]] for a, b in _PAIRS),
+    )
+
+
+def _witness(points, parts, triple, distinct):
+    """The sorted points indexed by the tuples at `triple` of `parts`."""
+    members = sorted(points[q] for part, i in zip(parts, triple) for q in part[i])
+    return SolutionCollection(members, distinct=distinct)
 
 
 def opt_min_clique(x, s):
     """Exact Opt-min over s-point subsets of `x` by binary search on the
     distance threshold plus triangle detection."""
-    points = _as_points(x)
-    m = len(points)
-    if s < 3:
-        raise ValueError("s must be >= 3 (use the pairwise maximum for s=2)")
-    if m < s:
-        raise InfeasibleError(f"need {s} distinct points, have {m}")
-    n = points[0].n
-    dmat = distance_matrix([p.key for p in points])
-    sizes = _group_sizes(s)
-    tuples = {g: _tuples(m, g, with_replacement=False) for g in set(sizes)}
-    intra = {g: _intra_min(dmat, t) for g, t in tuples.items()}
-    cross = {}
-    for a in range(3):
-        for b in range(a + 1, 3):
-            key = (sizes[a], sizes[b])
-            if key not in cross:
-                cross[key] = _cross(
-                    dmat, tuples[sizes[a]], tuples[sizes[b]], reduce_min=True
-                )
-
-    def graph_for(d):
-        masks = [intra[g] >= d for g in sizes]
-        if not all(mk.any() for mk in masks):
-            return None
-        parts = tuple(tuples[g][mk] for g, mk in zip(sizes, masks))
-        blocks = {}
-        for a in range(3):
-            for b in range(a + 1, 3):
-                cm = cross[(sizes[a], sizes[b])]
-                blocks[(a, b)] = cm[np.ix_(masks[a], masks[b])] >= d
-        return TupleGraph(parts, blocks[(0, 1)], blocks[(0, 2)], blocks[(1, 2)])
-
-    def feasible(d):
-        if d == 0:
-            return True, None
-        graph = graph_for(d)
-        if graph is None:
-            return False, None
-        tri = triangle_detect(graph)
-        return tri is not None, (graph, tri)
-
-    best_d, best_hit = 0, None
-    lo, hi = 1, n
+    points, parts, weights, blocks = _tuple_graph(
+        x, s, np.minimum, with_replacement=False
+    )
+    # threshold 1 holds for any s distinct points, so the search hits
+    lo, hi = 1, points[0].n
     while lo <= hi:
-        mid = (lo + hi) // 2
-        ok, hit = feasible(mid)
-        if ok:
-            best_d, best_hit = mid, hit
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    if best_d == 0:
-        members = sorted(points)[:s]
-    else:
-        graph, (i, j, k) = best_hit
-        idx = list(graph.parts[0][i]) + list(graph.parts[1][j]) + list(
-            graph.parts[2][k]
+        d = (lo + hi) // 2
+        masks = [w >= d for w in weights]
+        graph = TupleGraph(
+            tuple(part[mk] for part, mk in zip(parts, masks)),
+            *(
+                e[np.ix_(masks[a], masks[b])] >= d
+                for e, (a, b) in zip(blocks, _PAIRS)
+            ),
         )
-        members = sorted(points[q] for q in idx)
-    witness = SolutionCollection(members, distinct=True)
-    got = min_pairwise_distance(witness)
-    if not (got == best_d or (best_d == 0 and got >= 0)):
+        hit = triangle_detect(graph)
+        if hit is None:
+            hi = d - 1
+        else:
+            best_d, witness = d, _witness(points, graph.parts, hit, distinct=True)
+            lo = d + 1
+    if min_pairwise_distance(witness) != best_d:
         raise AssertionError("threshold search broke")
     return witness
 
@@ -190,54 +162,19 @@ def opt_sum_clique(x, s, distinct=True):
     distance sums, edge weights carry cross sums, and the best triangle
     is the exact optimum.
     """
-    points = _as_points(x)
-    m = len(points)
-    if s < 3:
-        raise ValueError("s must be >= 3")
-    if distinct and m < s:
-        raise InfeasibleError(f"need {s} distinct points, have {m}")
-    dmat = distance_matrix([p.key for p in points])
-    sizes = _group_sizes(s)
-    tuples = {
-        g: _tuples(m, g, with_replacement=not distinct) for g in set(sizes)
-    }
-    weight = {g: _intra_sum(dmat, t) for g, t in tuples.items()}
-    edges = {}
-    for a in range(3):
-        for b in range(a + 1, 3):
-            key = (sizes[a], sizes[b])
-            if key in edges:
-                continue
-            e = _cross(dmat, tuples[sizes[a]], tuples[sizes[b]], reduce_min=False)
-            if distinct:
-                e = np.where(
-                    _shares_point(tuples[sizes[a]], tuples[sizes[b]]), _NEG, e
-                )
-            edges[key] = e
-    e12 = edges[(sizes[0], sizes[1])]
-    e13 = edges[(sizes[0], sizes[2])]
-    e23 = edges[(sizes[1], sizes[2])]
-    w1, w2, w3 = (weight[g] for g in sizes)
-    best_val = _NEG
-    best = None
-    for a in range(tuples[sizes[0]].shape[0]):
+    points, parts, (w1, w2, w3), (e12, e13, e23) = _tuple_graph(
+        x, s, np.add, with_replacement=not distinct
+    )
+    best_val, best = _NEG, None
+    for a in range(len(w1)):
         grid = (w2 + e12[a])[:, None] + (w3 + e13[a])[None, :] + e23
-        flat = int(np.argmax(grid))
-        b, c = divmod(flat, grid.shape[1])
+        b, c = divmod(int(np.argmax(grid)), grid.shape[1])
         val = int(grid[b, c]) + int(w1[a])
         if val > best_val:
-            best_val = val
-            best = (a, b, c)
-    if best is None or best_val <= _NEG // 2:
+            best_val, best = val, (a, b, c)
+    if best is None:
         raise InfeasibleError("no qualifying tuple triple exists")
-    a, b, c = best
-    idx = (
-        list(tuples[sizes[0]][a])
-        + list(tuples[sizes[1]][b])
-        + list(tuples[sizes[2]][c])
-    )
-    members = sorted(points[q] for q in idx)
-    witness = SolutionCollection(members, distinct=distinct)
+    witness = _witness(points, parts, best, distinct)
     if sum_pairwise_distance(witness) != best_val:
         raise AssertionError("weight bookkeeping broke")
     return witness

@@ -151,34 +151,31 @@ def _pair_distances(offsets, pc):
     return np.array(dists, dtype=np.int64).reshape(-1, len(offsets))
 
 
-def _chunk_values(n, fb, fhat, offsets, objective, idx, pc):
-    """Objective value of the points (0, y, y^w_1, ..., y^w_{s-2}) at
-    [y, t] for every y and every offset tuple t (row t of `offsets`), -1
-    where no solution tuple has those differences."""
+def _chunk_values(n, fb, fhat, offsets, fold, distinct, idx, pc):
+    """Objective value, the pairwise distances folded by `fold`
+    (np.minimum or np.add), of the points (0, y, y^w_1, ..., y^w_{s-2})
+    at [y, t] for every y and every offset tuple t (row t of `offsets`);
+    -1 where no solution tuple has those differences, or where two of
+    the points coincide and `distinct` holds."""
     count = len(offsets)
     g = np.repeat(fb[:, None], count, axis=1)
     vals = np.repeat(pc[:, None], count, axis=1)
     for col in offsets.T:
         shifted = idx[:, None] ^ col
         g &= fb[shifted]
-        if objective is DispersionObjective.MIN_PD:
-            np.minimum(vals, pc[shifted], out=vals)
-        else:
-            vals += pc[shifted]
+        fold(vals, pc[shifted], out=vals)
     hat = _fwht_inplace(g.astype(np.int64))
     hat *= fhat[:, None]
     counts = _inverse_counts(n, hat)
     if (counts < 0).any():
         raise AssertionError("tuple counts must be nonnegative")
     certified = counts > 0
-    if objective is DispersionObjective.SUM_PD_DISTINCT:
+    if distinct:
         certified[0] = False
         certified[offsets, np.arange(count)[:, None]] = False
     pairs = _pair_distances(offsets, pc)
-    if objective is not DispersionObjective.MIN_PD:
-        vals += pairs.sum(axis=0)
-    elif len(pairs):
-        np.minimum(vals, pairs.min(axis=0), out=vals)
+    if len(pairs):
+        fold(vals, fold.reduce(pairs, axis=0), out=vals)
     vals[~certified] = -1
     return vals
 
@@ -211,11 +208,8 @@ def exact_dispersion(formula, s, objective):
     num_solutions = int(f.values.sum())
     if num_solutions == 0:
         raise UnsatError("formula has no satisfying assignment")
-    needs_distinct = objective in (
-        DispersionObjective.MIN_PD,
-        DispersionObjective.SUM_PD_DISTINCT,
-    )
-    if needs_distinct and num_solutions < s:
+    distinct = objective.distinct
+    if distinct and num_solutions < s:
         raise InfeasibleError(
             f"only {num_solutions} solutions, need a set of {s}"
         )
@@ -225,15 +219,16 @@ def exact_dispersion(formula, s, objective):
     # s = 2 has the one empty tuple and needs no difference set
     diffs = np.flatnonzero(_inverse_counts(n, fhat * fhat)).tolist() if s > 2 else []
     tuples = product(diffs, repeat=s - 2)
-    if objective is DispersionObjective.SUM_PD_DISTINCT:
+    if distinct:
         # offsets must be distinct and nonzero for an all-distinct tuple
         tuples = (w for w in tuples if 0 not in w and len(set(w)) == s - 2)
+    fold = np.minimum if objective is DispersionObjective.MIN_PD else np.add
     per_chunk = max(1, _CHUNK_ENTRIES >> n)
     best_value = -1
     best_diffs = None
     while chunk := list(islice(tuples, per_chunk)):
         offsets = np.array(chunk, dtype=np.int64)
-        vals = _chunk_values(n, fb, fhat, offsets, objective, idx, pc)
+        vals = _chunk_values(n, fb, fhat, offsets, fold, distinct, idx, pc)
         tops = vals.max(axis=0)
         t = int(np.argmax(tops))
         if tops[t] > best_value:
@@ -247,4 +242,4 @@ def exact_dispersion(formula, s, objective):
         ok = ok & fb[idx ^ d]
     x = int(np.argmax(ok))
     members = sorted(Assignment(n, x ^ d) for d in best_diffs)
-    return SolutionCollection(members, distinct=needs_distinct)
+    return SolutionCollection(members, distinct=distinct)

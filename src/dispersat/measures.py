@@ -15,6 +15,11 @@ class DispersionObjective(Enum):
     SUM_PD = "sum"
     SUM_PD_DISTINCT = "sum-distinct"
 
+    @property
+    def distinct(self):
+        """Whether the s solutions form a set rather than a multiset."""
+        return self is not DispersionObjective.SUM_PD
+
 
 class WeightKind(Enum):
     NONE = "none"

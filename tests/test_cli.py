@@ -154,6 +154,18 @@ class TestTooLarge:
         assert captured.out == ""
         assert "sum-distinct dispersion is available with --algo ppz" in captured.err
 
+    def test_clique_block_above_cap(self, tmp_path, capsys):
+        """1024 solutions at s=4 would need a C(1024,2) x 1024 int64 block."""
+        path = tmp_path / "free10.cnf"
+        path.write_text("p cnf 10 0\n")
+        started = time.perf_counter()
+        code = run(["disperse", "--s", "4", "--algo", "clique", str(path)])
+        data = capture(capsys)
+        assert time.perf_counter() - started < 1
+        assert code == 1
+        assert data["status"] == "TOO_LARGE"
+        assert "block of 536346624 int64 entries exceeds" in data["message"]
+
     def test_diverse_min_deepening_refused_on_a_60_vertex_path(self, tmp_path, capsys):
         """With s = 1 no anchored search runs; the OPT deepening (OPT = 30)
         is refused at its first level above schoning._LEVEL_NODES."""
@@ -227,6 +239,16 @@ class TestDisperse:
         data = capture(capsys)
         assert code == 0
         assert data["values"]["minPD"] == 1
+
+    @pytest.mark.parametrize("objective", ["min", "sum", "sum-distinct"])
+    def test_clique_unsat(self, tmp_path, capsys, objective):
+        path = tmp_path / "unsat.cnf"
+        path.write_text("p cnf 3 2\n1 0\n-1 0\n")
+        argv = ["disperse", "--s", "3", "--objective", objective, "--algo", "clique"]
+        code = run(argv + [str(path)])
+        data = capture(capsys)
+        assert code == 1
+        assert data["status"] == "UNSAT"
 
     def test_weighted(self, tmp_path, capsys):
         path = tmp_path / "triple.cnf"

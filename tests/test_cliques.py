@@ -4,13 +4,14 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 import pytest
 
+from dispersat import cliques
 from dispersat.cliques import (
     TupleGraph,
     opt_min_clique,
     opt_sum_clique,
     triangle_detect,
 )
-from dispersat.cnf import Assignment, InfeasibleError
+from dispersat.cnf import Assignment, CapabilityError, InfeasibleError
 from dispersat.measures import (
     min_pairwise_distance,
     sum_pairwise_distance,
@@ -131,3 +132,34 @@ class TestOptSum:
                 for c in combinations_with_replacement(pts, s)
             )
             assert sum_pairwise_distance(wit_m) == naive_m
+
+
+class TestBlockLimit:
+    """The largest part-pair block is counted before any tuple is built:
+    C(m, g) tuples of size g, C(m + g - 1, g) for multisets."""
+
+    def test_refused_above_the_limit(self, monkeypatch):
+        # s=4 splits as (2, 1, 1); 6 points give a 15 x 6 block
+        pts = random_points(random.Random(3), 5, 6)
+        monkeypatch.setattr(cliques, "CLIQUE_BLOCK_LIMIT", 89)
+        for call in (
+            lambda: opt_min_clique(pts, 4),
+            lambda: opt_sum_clique(pts, 4, distinct=True),
+        ):
+            with pytest.raises(CapabilityError, match="block of 90 int64 entries"):
+                call()
+        # 21 multisets of size 2 over 6 points
+        with pytest.raises(CapabilityError, match="block of 126 int64 entries"):
+            opt_sum_clique(pts, 4, distinct=False)
+        monkeypatch.setattr(cliques, "CLIQUE_BLOCK_LIMIT", 90)
+        assert min_pairwise_distance(opt_min_clique(pts, 4)) >= 1
+
+    def test_earlier_errors_come_first(self, monkeypatch):
+        monkeypatch.setattr(cliques, "CLIQUE_BLOCK_LIMIT", 0)
+        pts = random_points(random.Random(4), 5, 4)
+        with pytest.raises(ValueError, match="distinct"):
+            opt_min_clique(pts + pts[:1], 3)
+        with pytest.raises(ValueError, match="s must be >= 3"):
+            opt_sum_clique(pts, 2)
+        with pytest.raises(InfeasibleError):
+            opt_min_clique(pts, 5)
