@@ -25,8 +25,8 @@ from .measures import DispersionObjective, NO_WEIGHT, SolutionCollection, popcou
 ENUMERATION_LIMIT = 24  # 16M assignments; `enumerate --limit` may raise it
 
 
-def enumerate_solutions(formula, limit=None):
-    """All satisfying assignments in lexicographic order."""
+def solution_keys(formula, limit=None):
+    """Keys of all satisfying assignments, ascending, as an int64 array."""
     limit = ENUMERATION_LIMIT if limit is None else limit
     n = formula.n
     if n > limit:
@@ -34,9 +34,14 @@ def enumerate_solutions(formula, limit=None):
             f"n={n} exceeds enumeration limit {limit}; only `enumerate --limit` "
             "can raise it"
         )
-    keys = np.flatnonzero(solution_indicator(formula)).tolist()
+    return np.flatnonzero(solution_indicator(formula))
+
+
+def enumerate_solutions(formula, limit=None):
+    """All satisfying assignments in lexicographic order."""
+    keys = solution_keys(formula, limit).tolist()
     return SolutionCollection(
-        [Assignment(n, key) for key in keys], distinct=True
+        [Assignment(formula.n, key) for key in keys], distinct=True
     )
 
 

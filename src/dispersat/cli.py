@@ -23,8 +23,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .brute import brute_opt, diameter_via_min_ones, enumerate_solutions
+from .brute import brute_opt, diameter_via_min_ones, enumerate_solutions, solution_keys
 from .cnf import (
+    Assignment,
     CapabilityError,
     InfeasibleError,
     ParseError,
@@ -33,7 +34,7 @@ from .cnf import (
     evaluate,
     parse_dimacs,
 )
-from .cliques import opt_min_clique, opt_sum_clique
+from .cliques import check_clique_size, opt_min_clique, opt_sum_clique
 from .dispersion import (
     disperse_weighted_min,
     gonzalez_min,
@@ -216,10 +217,14 @@ def _cmd_disperse(args, report):
     elif args.algo == "fwht":
         witness = exact_dispersion(formula, args.s, objective)
     elif args.algo == "clique":
-        points = enumerate_solutions(formula).members
-        if not points:
+        keys = solution_keys(formula)
+        if not len(keys):
             raise UnsatError("formula has no satisfying assignment")
-        if objective is DispersionObjective.MIN_PD:
+        minimum = objective is DispersionObjective.MIN_PD
+        # refused from the count, before one Assignment per solution exists
+        check_clique_size(len(keys), args.s, minimum, not objective.distinct)
+        points = [Assignment(formula.n, key) for key in keys.tolist()]
+        if minimum:
             witness = opt_min_clique(points, args.s)
         else:
             witness = opt_sum_clique(points, args.s, objective.distinct)

@@ -55,6 +55,28 @@ def triangle_detect(graph):
     return i, j, k
 
 
+def check_clique_size(m, s, minimum, with_replacement):
+    """Refuse s-point subsets (multisets when `with_replacement`) of m
+    points before any tuple exists: ValueError for s < 3 (with a hint
+    for the Opt-min `minimum`), InfeasibleError for fewer than s distinct
+    points, then CapabilityError when the largest part-pair block would
+    hold more than CLIQUE_BLOCK_LIMIT entries."""
+    if s < 3:
+        hint = " (use the pairwise maximum for s=2)" if minimum else ""
+        raise ValueError(f"s must be >= 3{hint}")
+    if not with_replacement and m < s:
+        raise InfeasibleError(f"need {s} distinct points, have {m}")
+    sizes = ((s + 2) // 3, (s + 1) // 3, s // 3)
+    counts = [comb(m + (g - 1) * with_replacement, g) for g in sizes]
+    entries = max(counts[a] * counts[b] for a, b in _PAIRS)
+    if entries > CLIQUE_BLOCK_LIMIT:
+        raise CapabilityError(
+            f"s={s} over {m} points: a tuple-graph block of {entries} int64 "
+            f"entries exceeds the clique limit {CLIQUE_BLOCK_LIMIT}"
+        )
+    return sizes
+
+
 def _tuple_graph(x, s, fold, with_replacement):
     """(points, parts, vertex weights, edge weights) of the tuple graph
     for s-point subsets of the distinct points `x`, or s-point multisets
@@ -66,26 +88,14 @@ def _tuple_graph(x, s, fold, with_replacement):
     a tuple, and an edge weight (blocks 12, 13, 23) the distances across
     two tuples, by `fold` (np.minimum or np.add) in place.  Without
     replacement a point paired with itself weighs _NEG, so no triple
-    that shares a point qualifies.  The largest part-pair block is
-    counted first and refused above CLIQUE_BLOCK_LIMIT entries.
+    that shares a point qualifies.  `check_clique_size` refuses the
+    graph first.
     """
     points = list(x)
     if len(set(points)) != len(points):
         raise ValueError("points must be distinct")
-    if s < 3:
-        hint = " (use the pairwise maximum for s=2)" if fold is np.minimum else ""
-        raise ValueError(f"s must be >= 3{hint}")
     m = len(points)
-    if not with_replacement and m < s:
-        raise InfeasibleError(f"need {s} distinct points, have {m}")
-    sizes = ((s + 2) // 3, (s + 1) // 3, s // 3)
-    counts = [comb(m + (g - 1) * with_replacement, g) for g in sizes]
-    entries = max(counts[a] * counts[b] for a, b in _PAIRS)
-    if entries > CLIQUE_BLOCK_LIMIT:
-        raise CapabilityError(
-            f"s={s} over {m} points: a tuple-graph block of {entries} int64 "
-            f"entries exceeds the clique limit {CLIQUE_BLOCK_LIMIT}"
-        )
+    sizes = check_clique_size(m, s, fold is np.minimum, with_replacement)
     dmat = distance_matrix([p.key for p in points])
     if not with_replacement:
         np.fill_diagonal(dmat, _NEG)

@@ -5,13 +5,15 @@ The indicator vector of the solution space (`cnf.solution_indicator`,
 built by clearing the subcube each clause falsifies) is convolved with
 itself, or with products of shifted copies of itself; a positive entry
 at difference vector y certifies a solution pair (tuple) realizing y.
-All arithmetic is exact int64: convolution entries are counts and the
-positivity test must not be subject to rounding.  The butterfly runs in
-place on one table or on a stack of tables at once.  It is a ring map
-mod 2^64 whose final entries are at most 2^(2n), so wraparound of
-intermediate values cannot change a result.
+Arithmetic is exact integer arithmetic, since the positivity test must
+not round, in the word `_word` picks: int32 when 2^n times the largest
+count (2^n |S| for solution counts) is below 2^31, else int64.  The
+butterfly runs in place on one table or on a stack of tables; it is a
+ring map mod 2^32 or 2^64, so wraparound of intermediate values cannot
+change a final entry that fits the word.  A 0/1 table's transform, at
+most 2^26 in size, is always taken in int32 and widened after.
 
-Memory is a few int64 tables of 2^n entries (8 * 2^n bytes each) plus,
+Memory is a few tables of 2^n entries (at most 8 * 2^n bytes each) plus,
 in `exact_dispersion`, one chunk of stacked tables; every entry point
 refuses an n above its limit with CapabilityError before allocating.
 """
@@ -35,12 +37,12 @@ from .measures import DispersionObjective, SolutionCollection, popcount
 
 FWHT_LIMIT = 26
 DISPERSION_WORK_LIMIT = 24  # cap on (s-1)*n
-_CHUNK_ENTRIES = 1 << 17  # int64 entries per live table of an offset chunk
+_CHUNK_ENTRIES = 1 << 17  # entries per live table of an offset chunk
 
 
 def _check_size(n, tables):
     """Refuse n above FWHT_LIMIT before anything is allocated; the message
-    gives the bytes `tables` live int64 tables of 2^n entries would take."""
+    gives the bytes `tables` live tables of 2^n entries take in int64."""
     if n > FWHT_LIMIT:
         raise CapabilityError(
             f"n={n} exceeds FWHT limit {FWHT_LIMIT}: {tables} live int64 "
@@ -68,9 +70,14 @@ class DenseTable:
             raise ValueError("values must have length 2^n")
 
 
+def _word(n, largest):
+    """int32 when the largest final entry, 2^n * `largest`, fits it."""
+    return np.int32 if largest * (1 << n) < 2**31 else np.int64
+
+
 def _fwht_inplace(v):
     """Unnormalized transform along the first axis of a C-contiguous
-    int64 array, in place: one table, or tables stacked as columns, so
+    integer array, in place: one table, or tables stacked as columns, so
     that every level updates contiguous runs of h * columns entries.
     Each level maps (a, b) to (a + b, a - b)."""
     size = len(v)
@@ -99,13 +106,19 @@ def fwht(table):
     return DenseTable(table.n, _fwht_inplace(table.values.copy()))
 
 
-def _inverse_counts(n, hat):
-    """Convolution counts from the product of two transforms, in place."""
-    back = _fwht_inplace(hat)
-    if (back & ((1 << n) - 1)).any():
-        raise AssertionError(
-            "convolution not divisible by 2^n: integer arithmetic bug"
-        )
+def _forward(values, word):
+    """Transform of `values` (one table or stacked columns) in `word`."""
+    narrow = np.int32 if values.dtype == bool else word
+    return _fwht_inplace(values.astype(narrow)).astype(word, copy=False)
+
+
+def _xor_counts(n, f, word, ghat=None):
+    """(f*g)(y) for every y, in `word`: f transformed, multiplied by
+    `ghat` (by its own transform when None) and transformed back."""
+    back = _forward(f, word)
+    back *= back if ghat is None else ghat
+    if (_fwht_inplace(back) & ((1 << n) - 1)).any():
+        raise AssertionError("convolution not divisible by 2^n: integer arithmetic bug")
     back >>= n
     return back
 
@@ -113,13 +126,16 @@ def _inverse_counts(n, hat):
 def convolve(f, g):
     """XOR convolution (f*g)(y) = sum_x f(x) g(x xor y), exact.
 
-    With g the same table as f, f is transformed once and squared.
+    With g the same table as f, f is transformed once and squared.  The
+    word bounds |f*g| by ||f||_1 ||g||_inf in float64, exact below 2^53.
     """
     if f.n != g.n:
         raise ValueError("tables have different dimensions")
-    hat = fwht(f).values
-    hat *= hat if g is f else fwht(g).values
-    return DenseTable(f.n, _inverse_counts(f.n, hat))
+    _check_size(f.n, 1)
+    norms = np.abs(f.values, dtype=float).sum() * np.abs(g.values, dtype=float).max()
+    word = _word(f.n, norms)
+    ghat = None if g is f else _forward(g.values, word)
+    return DenseTable(f.n, _xor_counts(f.n, f.values, word, ghat))
 
 
 def exact_diameter(formula):
@@ -130,15 +146,15 @@ def exact_diameter(formula):
     smallest; the witness is the first x with f(x) = f(x xor y) = 1.
     """
     _check_size(formula.n, 4)
-    f = indicator_table(formula)
-    if not f.values.any():
+    fb = solution_indicator(formula)
+    num_solutions = int(np.count_nonzero(fb))
+    if num_solutions == 0:
         raise UnsatError("formula has no satisfying assignment")
-    conv = convolve(f, f)
-    if (conv.values < 0).any():
+    conv = _xor_counts(formula.n, fb, _word(formula.n, num_solutions))
+    if (conv < 0).any():
         raise AssertionError("pair counts must be nonnegative")
-    positive = np.flatnonzero(conv.values > 0)
+    positive = np.flatnonzero(conv)
     y = int(positive[np.argmax(popcount(positive))])
-    fb = f.values.astype(bool)
     x = int(np.argmax(fb & fb[np.arange(1 << formula.n) ^ y]))
     return Assignment(formula.n, x), Assignment(formula.n, x ^ y)
 
@@ -164,9 +180,7 @@ def _chunk_values(n, fb, fhat, offsets, fold, distinct, idx, pc):
         shifted = idx[:, None] ^ col
         g &= fb[shifted]
         fold(vals, pc[shifted], out=vals)
-    hat = _fwht_inplace(g.astype(np.int64))
-    hat *= fhat[:, None]
-    counts = _inverse_counts(n, hat)
+    counts = _xor_counts(n, g, fhat.dtype, fhat[:, None])
     if (counts < 0).any():
         raise AssertionError("tuple counts must be nonnegative")
     certified = counts > 0
@@ -190,7 +204,7 @@ def exact_dispersion(formula, s, objective):
     first tuple in lexicographic order, then the first y, wins ties.
     An offset outside the difference set D = {w : (f*f)(w) > 0} makes
     g all zero, so only tuples over D are visited.  Their product tables
-    are stacked as the columns of chunks of about _CHUNK_ENTRIES int64
+    are stacked as the columns of chunks of about _CHUNK_ENTRIES
     entries per live table (one tuple per chunk once 2^n is larger), and
     each chunk takes one batched forward and inverse transform; space
     stays at O(2^n + _CHUNK_ENTRIES).
@@ -203,9 +217,8 @@ def exact_dispersion(formula, s, objective):
             f"(s-1)*n = {(s - 1) * n} exceeds work limit {DISPERSION_WORK_LIMIT}"
         )
     _check_size(n, 8)
-    f = indicator_table(formula)
-    fb = f.values.astype(bool)
-    num_solutions = int(f.values.sum())
+    fb = solution_indicator(formula)
+    num_solutions = int(np.count_nonzero(fb))
     if num_solutions == 0:
         raise UnsatError("formula has no satisfying assignment")
     distinct = objective.distinct
@@ -215,9 +228,9 @@ def exact_dispersion(formula, s, objective):
         )
     idx = np.arange(1 << n)
     pc = popcount(idx)
-    fhat = fwht(f).values
+    fhat = _forward(fb, _word(n, num_solutions))
     # s = 2 has the one empty tuple and needs no difference set
-    diffs = np.flatnonzero(_inverse_counts(n, fhat * fhat)).tolist() if s > 2 else []
+    diffs = np.flatnonzero(_xor_counts(n, fb, fhat.dtype)).tolist() if s > 2 else []
     tuples = product(diffs, repeat=s - 2)
     if distinct:
         # offsets must be distinct and nonzero for an all-distinct tuple
@@ -237,9 +250,6 @@ def exact_dispersion(formula, s, objective):
             best_diffs = [0, y] + [y ^ int(w) for w in offsets[t]]
     if best_diffs is None:
         raise InfeasibleError("no qualifying tuple of solutions exists")
-    ok = fb.copy()
-    for d in best_diffs[1:]:
-        ok = ok & fb[idx ^ d]
-    x = int(np.argmax(ok))
+    x = int(np.argmax(np.logical_and.reduce([fb[idx ^ d] for d in best_diffs])))
     members = sorted(Assignment(n, x ^ d) for d in best_diffs)
     return SolutionCollection(members, distinct=distinct)

@@ -166,6 +166,42 @@ class TestTooLarge:
         assert data["status"] == "TOO_LARGE"
         assert "block of 536346624 int64 entries exceeds" in data["message"]
 
+    @pytest.fixture
+    def free20_unenumerated(self, tmp_path, monkeypatch):
+        """A formula with 2^20 solutions, which `disperse --algo clique`
+        must refuse without enumerating them."""
+
+        def enumerate_solutions(*args, **kwargs):
+            raise AssertionError("solutions were enumerated before the clique checks")
+
+        monkeypatch.setattr(cli, "enumerate_solutions", enumerate_solutions)
+        path = tmp_path / "free20.cnf"
+        path.write_text("p cnf 20 0\n")
+        return str(path)
+
+    @pytest.mark.parametrize("objective", ["min", "sum", "sum-distinct"])
+    def test_clique_refused_from_the_solution_count(
+        self, free20_unenumerated, capsys, objective
+    ):
+        """2^20 solutions at s=3 need a 2^20 x 2^20 block: refused from
+        the count, with the message `check_clique_size` gives."""
+        argv = ["disperse", "--s", "3", "--objective", objective, "--algo", "clique"]
+        code = run(argv + [free20_unenumerated])
+        data = capture(capsys)
+        assert code == 1
+        assert data["status"] == "TOO_LARGE"
+        assert data["message"] == (
+            "s=3 over 1048576 points: a tuple-graph block of 1099511627776 int64 "
+            "entries exceeds the clique limit 16777216"
+        )
+
+    def test_clique_usage_error_before_the_cap(self, free20_unenumerated, capsys):
+        """s = 2 stays a usage error however many solutions there are."""
+        assert run(["disperse", "--s", "2", "--algo", "clique", free20_unenumerated]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "s must be >= 3 (use the pairwise maximum for s=2)" in captured.err
+
     def test_diverse_min_deepening_refused_on_a_60_vertex_path(self, tmp_path, capsys):
         """With s = 1 no anchored search runs; the OPT deepening (OPT = 30)
         is refused at its first level above schoning._LEVEL_NODES."""

@@ -154,6 +154,15 @@ class TestBlockLimit:
         monkeypatch.setattr(cliques, "CLIQUE_BLOCK_LIMIT", 90)
         assert min_pairwise_distance(opt_min_clique(pts, 4)) >= 1
 
+    def test_counted_without_points(self):
+        """The check needs only the point count, so a caller can refuse
+        2^20 points before it builds them."""
+        assert cliques.check_clique_size(6, 4, True, False) == (2, 1, 1)
+        with pytest.raises(CapabilityError, match="block of 1099511627776 int64"):
+            cliques.check_clique_size(1 << 20, 3, False, True)
+        with pytest.raises(InfeasibleError, match="need 40 distinct points, have 39"):
+            cliques.check_clique_size(39, 40, True, False)
+
     def test_earlier_errors_come_first(self, monkeypatch):
         monkeypatch.setattr(cliques, "CLIQUE_BLOCK_LIMIT", 0)
         pts = random_points(random.Random(4), 5, 4)

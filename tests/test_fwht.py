@@ -46,6 +46,20 @@ def random_formula(rng, n, k=3, m=None):
     return CnfFormula(n, clauses)
 
 
+@pytest.fixture
+def words(monkeypatch):
+    """The word of every `_xor_counts` call, as a dtype, in call order."""
+    seen = []
+    counts = fwht_module._xor_counts
+
+    def spy(n, values, word, ghat=None):
+        seen.append(np.dtype(word))
+        return counts(n, values, word, ghat)
+
+    monkeypatch.setattr(fwht_module, "_xor_counts", spy)
+    return seen
+
+
 class TestTransform:
     def test_or_indicator(self):
         t = DenseTable(2, [0, 1, 1, 1])
@@ -99,6 +113,25 @@ class TestConvolve:
         ]
         assert conv.tolist() == direct
 
+    @pytest.mark.parametrize(
+        "top, word", [(40, np.int32), (2**23 - 1, np.int32), (2**23, np.int64), (2**28, np.int64)]
+    )
+    def test_signed_values_in_either_word(self, words, top, word):
+        """f = 1 everywhere and max |g| = top: 2^4 ||f||_1 ||g||_inf is
+        below 2^31 exactly when top < 2^23.  Both words match the direct
+        double sum, for f*g and for g*g."""
+        rng = np.random.default_rng(top)
+        f = DenseTable(4, np.ones(16, dtype=np.int64))
+        g = DenseTable(4, rng.integers(-top, top + 1, size=16))
+        g.values[5] = -top
+        for a, b in ((f, g), (g, g)):
+            direct = [
+                sum(int(a.values[x]) * int(b.values[x ^ y]) for x in range(16))
+                for y in range(16)
+            ]
+            assert convolve(a, b).values.tolist() == direct
+        assert words[0] == np.dtype(word)
+
     def test_zero_count_is_solution_count(self):
         rng = random.Random(3)
         for _ in range(10):
@@ -142,6 +175,43 @@ class TestExactDiameter:
             diam = max(a.distance(b) for a in sols for b in sols)
             z1, z2 = exact_diameter(f)
             assert z1.distance(z2) == diam
+
+
+def _brute_diameter_pair(formula):
+    """The pair the tie rule picks, from every pairwise difference: the
+    heaviest realized y, then the smallest, then the first x."""
+    n = formula.n
+    keys = np.flatnonzero(evaluate_keys(formula, np.arange(1 << n)))
+    realized = np.zeros(1 << n, dtype=bool)
+    for start in range(0, len(keys), 512):
+        realized[(keys[start:start + 512, None] ^ keys[None, :]).ravel()] = True
+    diffs = np.flatnonzero(realized)
+    weights = [bin(int(d)).count("1") for d in diffs]
+    y = int(diffs[weights.index(max(weights))])
+    solutions = set(keys.tolist())
+    x = next(k for k in keys.tolist() if k ^ y in solutions)
+    return x, x ^ y
+
+
+class TestWord:
+    def test_boundary(self):
+        # 2^18 * 8191 = 2^31 - 2^18 fits int32; 2^18 * 8192 = 2^31 does not
+        assert fwht_module._word(18, 8191) is np.int32
+        assert fwht_module._word(18, 8192) is np.int64
+        assert fwht_module._word(0, 2**31 - 1) is np.int32
+        assert fwht_module._word(26, 1 << 26) is np.int64
+
+    @pytest.mark.parametrize("count, word", [(8192, np.int64), (8191, np.int32)])
+    def test_diameter_at_the_boundary(self, words, count, word):
+        """Five unit clauses leave 2^13 = 8192 solutions; an 18-literal
+        clause against the first of them leaves 8191, and moves x."""
+        units = [(1,), (-4,), (7,), (-11,), (15,)]
+        first = [-1, 2, 3, 4, 5, 6, -7] + list(range(8, 15)) + [-15, 16, 17, 18]
+        f = CnfFormula(18, units + ([] if count == 8192 else [tuple(first)]))
+        z1, z2 = exact_diameter(f)
+        assert words == [np.dtype(word)]
+        assert int(evaluate_keys(f, np.arange(1 << 18)).sum()) == count
+        assert (z1.key, z2.key) == _brute_diameter_pair(f)
 
 
 class TestExactDispersion:
@@ -308,6 +378,20 @@ class TestInPlaceButterfly:
             assert (_copying_fwht(column.copy()) == out).all()
             assert (_fwht_inplace(column.copy()) == out).all()
 
+    def test_wrapping_intermediates_match_int32(self):
+        rng = np.random.default_rng(8)
+        info = np.iinfo(np.int32)
+        tables = rng.integers(info.min, info.max, size=(64, 3), dtype=np.int32)
+        tables[:, 0] = info.max
+        tables[:, 1] = info.min
+        batched = _fwht_inplace(tables.copy())
+        for column, out in zip(tables.T, batched.T):
+            assert (_copying_fwht(column.copy()) == out).all()
+            assert (_fwht_inplace(column.copy()) == out).all()
+        # the int32 results are the int64 results mod 2^32
+        wide = _fwht_inplace(tables.astype(np.int64))
+        assert (wide.astype(np.int32) == batched).all()
+
     def test_works_in_place(self):
         v = np.array([0, 1, 1, 1], dtype=np.int64)
         assert _fwht_inplace(v) is v
@@ -344,6 +428,25 @@ class TestBatchedDispersion:
                 monkeypatch.setattr(fwht_module, "_CHUNK_ENTRIES", entries)
                 got = exact_dispersion(f, s, objective)
                 assert [z.key for z in got] == expected
+
+    @pytest.mark.parametrize("objective", list(DispersionObjective))
+    def test_int64_word_gives_the_same_keys(self, monkeypatch, objective):
+        """Few solutions put every table in int32; forcing int64 must not
+        move a key."""
+        rng = random.Random(31 + len(objective.value))
+        cases = []
+        for _ in range(12):
+            n = rng.randint(1, 7)
+            f = _random_formula_any_width(rng, n)
+            for s in (2, 3, 4) if n <= 6 else (2, 3):
+                try:
+                    cases.append((f, s, [z.key for z in exact_dispersion(f, s, objective)]))
+                except (UnsatError, InfeasibleError):
+                    pass
+        assert cases
+        monkeypatch.setattr(fwht_module, "_word", lambda n, largest: np.int64)
+        for f, s, keys in cases:
+            assert [z.key for z in exact_dispersion(f, s, objective)] == keys
 
 
 class TestFailFast:

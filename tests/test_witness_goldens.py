@@ -1,9 +1,11 @@
 """Golden witnesses of the exact dispersion solvers.
 
 The other tests compare optimal values only; these pin the members each
-solver returns, so that a changed tie-break shows up.  The goldens were
-captured from the solvers as they stood before the clique solvers shared
-one tuple-graph builder.
+solver returns, so that a changed tie-break shows up.  The clique and
+dispersion goldens were captured from the solvers as they stood before
+the clique solvers shared one tuple-graph builder; the diameter goldens
+from `exact_diameter` as it stood before it chose its word by the
+solution count, when every transform ran in int64.
 """
 
 import random
@@ -12,8 +14,8 @@ import numpy as np
 import pytest
 
 from dispersat.cliques import opt_min_clique, opt_sum_clique
-from dispersat.cnf import Assignment
-from dispersat.fwht import exact_dispersion
+from dispersat.cnf import Assignment, CnfFormula, solution_indicator
+from dispersat.fwht import exact_diameter, exact_dispersion
 from dispersat.generators import planted_kcnf
 from dispersat.measures import DispersionObjective
 
@@ -59,6 +61,53 @@ EXACT = {
     (5, 3): ('001110 100101 110010', '001110 110001 110001', '001110 001111 110001'),
 }
 
+# seed -> the pair exact_diameter returns on diameter_formula(seed):
+# planted 3-CNFs with n = 4..18 below 2^31 / 2^n solutions (seeds 0-14),
+# then formulas with 2^n |S| >= 2^31 at n = 16..20 (seeds 15-19)
+DIAMETER = {
+    0: ('0001', '1100'),
+    1: ('00000', '01111'),
+    2: ('011000', '011000'),
+    3: ('0100110', '1101001'),
+    4: ('011001001', '100110011'),
+    5: ('0100011011', '0100110100'),
+    6: ('00111110110', '01010101000'),
+    7: ('001110100110', '010001111001'),
+    8: ('00011000101001', '11011011010110'),
+    9: ('010110110110000', '111110101011111'),
+    10: ('0001111111101000', '0101100010010010'),
+    11: ('000101111101110011', '001110010110101000'),
+    12: ('000000001100010101', '110111110011101010'),
+    13: ('01001000001101111', '10110111110010000'),
+    14: ('0101111110100101', '1000000001011010'),
+    15: ('0000000100000000', '1111111011111111'),
+    16: ('00000010000000000', '01111111111111111'),
+    17: ('000000000100010001', '111111101001001010'),
+    18: ('1100000000010100000', '1101111111111110111'),
+    19: ('00000101100110001001', '10011011011111111101'),
+}
+
+
+def diameter_formula(seed):
+    rng = np.random.default_rng(800 + seed)
+    if seed < 12:
+        n = 4 + seed * 14 // 11
+        return planted_kcnf(n, 3, 4 * n, rng)[0]
+    if seed < 15:
+        n = 30 - seed
+        return planted_kcnf(n, 3, 2 * n, rng)[0]
+    # 2n - 32 unit clauses and four 3-clauses over the free variables
+    # leave at least 2^(32 - n) / 2 solutions
+    n = 1 + seed
+    units = 2 * n - 32
+    variables = [int(v) + 1 for v in rng.permutation(n)]
+    fixed, free = variables[:units], variables[units:]
+    clauses = [(v if rng.integers(2) else -v,) for v in fixed]
+    for _ in range(4):
+        picked = rng.choice(free, size=3, replace=False)
+        clauses.append(tuple(int(v) if rng.integers(2) else -int(v) for v in picked))
+    return CnfFormula(n, clauses)
+
 
 def strings(witness):
     return " ".join(z.to_string() for z in witness)
@@ -88,3 +137,12 @@ def test_exact_dispersion_witnesses(seed, s):
         for objective in DispersionObjective
     )
     assert got == EXACT[(seed, s)]
+
+
+@pytest.mark.parametrize("seed", sorted(DIAMETER))
+def test_exact_diameter_witnesses(seed):
+    formula = diameter_formula(seed)
+    count = int(solution_indicator(formula).sum())
+    assert (count << formula.n >= 2**31) == (seed >= 15)
+    z1, z2 = exact_diameter(formula)
+    assert (z1.to_string(), z2.to_string()) == DIAMETER[seed]
