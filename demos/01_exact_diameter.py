@@ -6,14 +6,15 @@ build a small formula, show the convolution table, and cross-check the
 answer against plain enumeration.
 """
 
+import numpy as np
+
 from dispersat import (
     CnfFormula,
-    convolve,
     enumerate_solutions,
     exact_diameter,
     min_pairwise_distance,
 )
-from dispersat.fwht import indicator_table
+from dispersat.fwht import convolve, indicator_table
 
 # (x1 or x2) and (x3 or not x1): 5 solutions on 3 variables
 formula = CnfFormula(3, [(1, 2), (3, -1)])
@@ -21,11 +22,11 @@ solutions = enumerate_solutions(formula)
 print("solutions:", [z.to_string() for z in solutions])
 
 table = indicator_table(formula)
-conv = convolve(table, table)
+conv = convolve(table, np.int64)
 print("\n(f*f)(y) by difference vector y:")
-for y, count in enumerate(conv.values):
+for y, count in enumerate(conv):
     print(f"  y={y:03b}  pairs={int(count)}")
-print("entry at y=000 equals the solution count:", int(conv.values[0]))
+print("entry at y=000 equals the solution count:", int(conv[0]))
 
 z1, z2 = exact_diameter(formula)
 print(f"\ndiameter pair: {z1.to_string()} <-> {z2.to_string()}",

@@ -36,7 +36,7 @@ from .brute import (
     enumerate_solutions,
     min_ones_brute,
 )
-from .fwht import DenseTable, convolve, exact_diameter, exact_dispersion, fwht
+from .fwht import exact_diameter, exact_dispersion
 from .cliques import opt_min_clique, opt_sum_clique, triangle_detect
 from .ppz import (
     OracleConfig,

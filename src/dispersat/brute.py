@@ -177,24 +177,6 @@ def farthest_sum(formula, anchors, exclude=False):
     )
 
 
-def solution_adjacency(formula):
-    """The solution graph: hypercube edges between satisfying assignments.
-
-    Returns (keys, adjacency) where adjacency maps each solution key to
-    the sorted list of neighboring solution keys.
-    """
-    keys = [z.key for z in enumerate_solutions(formula)]
-    keyset = set(keys)
-    n = formula.n
-    adjacency = {
-        key: sorted(
-            key ^ (1 << b) for b in range(n) if key ^ (1 << b) in keyset
-        )
-        for key in keys
-    }
-    return keys, adjacency
-
-
 def min_ones_brute(formula):
     """A minimum-Hamming-weight solution (lexicographically smallest on ties)."""
     solutions = enumerate_solutions(formula).members

@@ -166,11 +166,11 @@ def opt_sum_clique(x, s, distinct=True):
     """Exact Opt-sum (distinct=False: over multisets) via the maximum
     total-weight triangle of the tuple graph.
 
-    Enumerating the six threshold values of the tripartite construction
-    is equivalent to scanning the tight values realized by actual tuple
-    triples, which is what this does: vertex weights carry intra-tuple
-    distance sums, edge weights carry cross sums, and the best triangle
-    is the exact optimum.
+    Vertex weights carry intra-tuple distance sums and edge weights the
+    cross sums, so the heaviest triangle is the exact optimum.  It is
+    found by a plain O(V1 V2 V3) scan: for each part-1 vertex, one grid
+    of every part-2, part-3 completion and its argmax; the first
+    heaviest triangle in row-major order wins.
     """
     points, parts, (w1, w2, w3), (e12, e13, e23) = _tuple_graph(
         x, s, np.add, with_replacement=not distinct

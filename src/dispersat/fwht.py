@@ -1,26 +1,27 @@
 """Exact diameter and exact s-dispersion through Walsh-Hadamard
 XOR convolution.
 
-The indicator vector of the solution space (`cnf.solution_indicator`,
-built by clearing the subcube each clause falsifies) is convolved with
-itself, or with products of shifted copies of itself; a positive entry
-at difference vector y certifies a solution pair (tuple) realizing y.
+The indicator vector of the solution space (`indicator_table`, built by
+clearing the subcube each clause falsifies) is convolved with itself, or
+with products of shifted copies of itself; a positive entry at
+difference vector y certifies a solution pair (tuple) realizing y.
 Arithmetic is exact integer arithmetic, since the positivity test must
-not round, in the word `_word` picks: int32 when 2^n times the largest
-count (2^n |S| for solution counts) is below 2^31, else int64.  The
-butterfly runs in place on one table or on a stack of tables; it is a
-ring map mod 2^32 or 2^64, so wraparound of intermediate values cannot
-change a final entry that fits the word.  A 0/1 table's transform, at
-most 2^26 in size, is always taken in int32 and widened after.
+not round.  `fwht` and `convolve` work in the word their caller passes;
+the one word rule, `_word`, picks int32 when 2^n times the largest count
+(2^n |S| for solution counts) is below 2^31, else int64.  The butterfly
+runs in place on one table or on a stack of tables; it is a ring map mod
+2^32 or 2^64, so wraparound of intermediate values cannot change a final
+entry that fits the word.  A 0/1 table's transform, at most 2^26 in
+size, is always taken in int32 and widened after.
 
 Memory is a few tables of 2^n entries (at most 8 * 2^n bytes each) plus,
-in `exact_dispersion`, one chunk of stacked tables; every entry point
-refuses an n above its limit with CapabilityError before allocating.
+in `exact_dispersion`, one chunk of stacked tables; `indicator_table`,
+which both exact entry points build first, refuses an n above its limit
+with CapabilityError before allocating.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, islice, product
 
 import numpy as np
@@ -40,34 +41,17 @@ DISPERSION_WORK_LIMIT = 24  # cap on (s-1)*n
 _CHUNK_ENTRIES = 1 << 17  # entries per live table of an offset chunk
 
 
-def _check_size(n, tables):
-    """Refuse n above FWHT_LIMIT before anything is allocated; the message
-    gives the bytes `tables` live tables of 2^n entries take in int64."""
+def indicator_table(formula, tables=1):
+    """The bool solution indicator of `formula`.  An n above FWHT_LIMIT is
+    refused first, before anything is allocated; the message gives the
+    bytes `tables` live tables of 2^n entries would take in int64."""
+    n = formula.n
     if n > FWHT_LIMIT:
         raise CapabilityError(
             f"n={n} exceeds FWHT limit {FWHT_LIMIT}: {tables} live int64 "
             f"table(s) of 2^{n} entries would take {tables * 8 << n} bytes"
         )
-
-
-def indicator_table(formula):
-    """DenseTable of the 0/1 solution indicator of `formula`."""
-    _check_size(formula.n, 1)
-    return DenseTable(formula.n, solution_indicator(formula).astype(np.int64))
-
-
-@dataclass
-class DenseTable:
-    """A length-2^n integer vector indexed by assignments (variable 1 is
-    the most significant index bit)."""
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.int64)
-        if self.values.shape != (1 << self.n,):
-            raise ValueError("values must have length 2^n")
+    return solution_indicator(formula)
 
 
 def _word(n, largest):
@@ -100,42 +84,25 @@ def _fwht_inplace(v):
     return v
 
 
-def fwht(table):
-    """Walsh-Hadamard transform by the O(n 2^n) butterfly, exact int64."""
-    _check_size(table.n, 1)
-    return DenseTable(table.n, _fwht_inplace(table.values.copy()))
-
-
-def _forward(values, word):
-    """Transform of `values` (one table or stacked columns) in `word`."""
+def fwht(values, word):
+    """Walsh-Hadamard transform of `values` (one table of 2^n entries, or
+    tables stacked as columns) in `word`, by the O(n 2^n) butterfly on a
+    copy; a bool table is transformed in int32 and widened after."""
     narrow = np.int32 if values.dtype == bool else word
     return _fwht_inplace(values.astype(narrow)).astype(word, copy=False)
 
 
-def _xor_counts(n, f, word, ghat=None):
-    """(f*g)(y) for every y, in `word`: f transformed, multiplied by
-    `ghat` (by its own transform when None) and transformed back."""
-    back = _forward(f, word)
+def convolve(f, word, ghat=None):
+    """XOR convolution (f*g)(y) = sum_x f(x) g(x xor y) for every y, in
+    `word`: f transformed, multiplied by `ghat`, the transform of g (by
+    its own transform when None, giving f*f), and transformed back."""
+    n = len(f).bit_length() - 1
+    back = fwht(f, word)
     back *= back if ghat is None else ghat
     if (_fwht_inplace(back) & ((1 << n) - 1)).any():
         raise AssertionError("convolution not divisible by 2^n: integer arithmetic bug")
     back >>= n
     return back
-
-
-def convolve(f, g):
-    """XOR convolution (f*g)(y) = sum_x f(x) g(x xor y), exact.
-
-    With g the same table as f, f is transformed once and squared.  The
-    word bounds |f*g| by ||f||_1 ||g||_inf in float64, exact below 2^53.
-    """
-    if f.n != g.n:
-        raise ValueError("tables have different dimensions")
-    _check_size(f.n, 1)
-    norms = np.abs(f.values, dtype=float).sum() * np.abs(g.values, dtype=float).max()
-    word = _word(f.n, norms)
-    ghat = None if g is f else _forward(g.values, word)
-    return DenseTable(f.n, _xor_counts(f.n, f.values, word, ghat))
 
 
 def exact_diameter(formula):
@@ -145,12 +112,11 @@ def exact_diameter(formula):
     difference vector wins, ties going to the lexicographically
     smallest; the witness is the first x with f(x) = f(x xor y) = 1.
     """
-    _check_size(formula.n, 4)
-    fb = solution_indicator(formula)
+    fb = indicator_table(formula, 4)
     num_solutions = int(np.count_nonzero(fb))
     if num_solutions == 0:
         raise UnsatError("formula has no satisfying assignment")
-    conv = _xor_counts(formula.n, fb, _word(formula.n, num_solutions))
+    conv = convolve(fb, _word(formula.n, num_solutions))
     if (conv < 0).any():
         raise AssertionError("pair counts must be nonnegative")
     positive = np.flatnonzero(conv)
@@ -167,7 +133,7 @@ def _pair_distances(offsets, pc):
     return np.array(dists, dtype=np.int64).reshape(-1, len(offsets))
 
 
-def _chunk_values(n, fb, fhat, offsets, fold, distinct, idx, pc):
+def _chunk_values(fb, fhat, offsets, fold, distinct, idx, pc):
     """Objective value, the pairwise distances folded by `fold`
     (np.minimum or np.add), of the points (0, y, y^w_1, ..., y^w_{s-2})
     at [y, t] for every y and every offset tuple t (row t of `offsets`);
@@ -180,7 +146,7 @@ def _chunk_values(n, fb, fhat, offsets, fold, distinct, idx, pc):
         shifted = idx[:, None] ^ col
         g &= fb[shifted]
         fold(vals, pc[shifted], out=vals)
-    counts = _xor_counts(n, g, fhat.dtype, fhat[:, None])
+    counts = convolve(g, fhat.dtype, fhat[:, None])
     if (counts < 0).any():
         raise AssertionError("tuple counts must be nonnegative")
     certified = counts > 0
@@ -216,8 +182,7 @@ def exact_dispersion(formula, s, objective):
         raise CapabilityError(
             f"(s-1)*n = {(s - 1) * n} exceeds work limit {DISPERSION_WORK_LIMIT}"
         )
-    _check_size(n, 8)
-    fb = solution_indicator(formula)
+    fb = indicator_table(formula, 8)
     num_solutions = int(np.count_nonzero(fb))
     if num_solutions == 0:
         raise UnsatError("formula has no satisfying assignment")
@@ -228,9 +193,9 @@ def exact_dispersion(formula, s, objective):
         )
     idx = np.arange(1 << n)
     pc = popcount(idx)
-    fhat = _forward(fb, _word(n, num_solutions))
+    fhat = fwht(fb, _word(n, num_solutions))
     # s = 2 has the one empty tuple and needs no difference set
-    diffs = np.flatnonzero(_xor_counts(n, fb, fhat.dtype)).tolist() if s > 2 else []
+    diffs = np.flatnonzero(convolve(fb, fhat.dtype)).tolist() if s > 2 else []
     tuples = product(diffs, repeat=s - 2)
     if distinct:
         # offsets must be distinct and nonzero for an all-distinct tuple
@@ -241,7 +206,7 @@ def exact_dispersion(formula, s, objective):
     best_diffs = None
     while chunk := list(islice(tuples, per_chunk)):
         offsets = np.array(chunk, dtype=np.int64)
-        vals = _chunk_values(n, fb, fhat, offsets, fold, distinct, idx, pc)
+        vals = _chunk_values(fb, fhat, offsets, fold, distinct, idx, pc)
         tops = vals.max(axis=0)
         t = int(np.argmax(tops))
         if tops[t] > best_value:

@@ -13,11 +13,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from dispersat.brute import (
-    brute_opt,
-    enumerate_solutions,
-    solution_adjacency,
-)
+from dispersat.brute import brute_opt, enumerate_solutions
 from dispersat.cli import probe_speedup
 from dispersat.cnf import Assignment, UnsatError
 from dispersat.cliques import opt_min_clique, opt_sum_clique
@@ -49,6 +45,8 @@ from dispersat.subsets import (
     reduce_vertex_cover,
     Graph,
 )
+
+from solution_graph import solution_adjacency
 
 
 def report(number, message):

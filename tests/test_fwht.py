@@ -5,6 +5,8 @@ from itertools import product
 import numpy as np
 import pytest
 
+import dispersat
+import dispersat.fwht as fwht_module
 from dispersat.brute import brute_opt, enumerate_solutions
 from dispersat.cnf import (
     Assignment,
@@ -15,8 +17,8 @@ from dispersat.cnf import (
     evaluate_keys,
 )
 from dispersat.fwht import (
-    DenseTable,
     _fwht_inplace,
+    _word,
     convolve,
     exact_diameter,
     exact_dispersion,
@@ -28,9 +30,6 @@ from dispersat.measures import (
     min_pairwise_distance,
     sum_pairwise_distance,
 )
-
-# the package re-exports the function `fwht`, which shadows the module
-fwht_module = importlib.import_module("dispersat.fwht")
 
 
 def A(s):
@@ -48,88 +47,93 @@ def random_formula(rng, n, k=3, m=None):
 
 @pytest.fixture
 def words(monkeypatch):
-    """The word of every `_xor_counts` call, as a dtype, in call order."""
+    """The word of every `convolve` call, as a dtype, in call order."""
     seen = []
-    counts = fwht_module._xor_counts
 
-    def spy(n, values, word, ghat=None):
+    def spy(f, word, ghat=None):
         seen.append(np.dtype(word))
-        return counts(n, values, word, ghat)
+        return convolve(f, word, ghat)
 
-    monkeypatch.setattr(fwht_module, "_xor_counts", spy)
+    monkeypatch.setattr(fwht_module, "convolve", spy)
     return seen
+
+
+def test_submodule_is_not_shadowed():
+    assert importlib.import_module("dispersat.fwht") is dispersat.fwht
+    assert fwht_module.__name__ == "dispersat.fwht"
+
+
+def _direct(a, b):
+    """(a*b)(y) for every y, by the double sum."""
+    return [sum(int(a[x]) * int(b[x ^ y]) for x in range(len(a))) for y in range(len(a))]
 
 
 class TestTransform:
     def test_or_indicator(self):
-        t = DenseTable(2, [0, 1, 1, 1])
-        assert fwht(t).values.tolist() == [3, -1, -1, -1]
+        for dtype in (np.int64, bool):  # a bool table is widened after
+            out = fwht(np.array([0, 1, 1, 1], dtype=dtype), np.int64)
+            assert out.dtype == np.int64
+            assert out.tolist() == [3, -1, -1, -1]
 
     def test_delta_to_constant(self):
-        t = DenseTable(3, [1] + [0] * 7)
-        assert fwht(t).values.tolist() == [1] * 8
+        assert fwht(np.array([1] + [0] * 7), np.int64).tolist() == [1] * 8
 
     def test_involution_identity(self):
         rng = np.random.default_rng(0)
         v = rng.integers(-5, 6, size=64)
-        t = DenseTable(6, v)
-        assert (fwht(fwht(t)).values == 64 * v).all()
+        assert (fwht(fwht(v, np.int64), np.int64) == 64 * v).all()
 
     def test_limit(self, monkeypatch):
         monkeypatch.setattr(fwht_module, "FWHT_LIMIT", 2)
         with pytest.raises(CapabilityError):
-            fwht(DenseTable(3, [0] * 8))
+            indicator_table(CnfFormula(3, []))
 
 
 class TestConvolve:
     def test_self_convolution_counts(self):
-        f = DenseTable(2, [0, 1, 1, 1])
-        assert convolve(f, f).values.tolist() == [3, 2, 2, 2]
+        f = np.array([0, 1, 1, 1])
+        assert convolve(f, np.int64).tolist() == [3, 2, 2, 2]
 
     def test_delta_shift(self):
         a, b = 3, 5
-        f = DenseTable(3, np.eye(8, dtype=np.int64)[a])
-        g = DenseTable(3, np.eye(8, dtype=np.int64)[b])
-        conv = convolve(f, g).values
+        f = np.eye(8, dtype=np.int64)[a]
+        g = np.eye(8, dtype=np.int64)[b]
+        conv = convolve(f, np.int64, fwht(g, np.int64))
         expected = np.zeros(8, dtype=np.int64)
         expected[a ^ b] = 1
         assert (conv == expected).all()
 
     def test_fubini(self):
         rng = np.random.default_rng(1)
-        f = DenseTable(8, rng.integers(0, 2, size=256))
-        g = DenseTable(8, rng.integers(0, 2, size=256))
-        conv = convolve(f, g).values
-        assert conv.sum() == f.values.sum() * g.values.sum()
+        f = rng.integers(0, 2, size=256)
+        g = rng.integers(0, 2, size=256)
+        conv = convolve(f, np.int64, fwht(g, np.int64))
+        assert conv.sum() == f.sum() * g.sum()
 
     def test_matches_direct_double_sum(self):
         rng = np.random.default_rng(2)
-        f = DenseTable(4, rng.integers(0, 2, size=16))
-        g = DenseTable(4, rng.integers(0, 2, size=16))
-        conv = convolve(f, g).values
-        direct = [
-            sum(int(f.values[x]) * int(g.values[x ^ y]) for x in range(16))
-            for y in range(16)
-        ]
-        assert conv.tolist() == direct
+        f = rng.integers(0, 2, size=16)
+        g = rng.integers(0, 2, size=16)
+        conv = convolve(f, np.int64, fwht(g, np.int64))
+        assert conv.tolist() == _direct(f, g)
 
     @pytest.mark.parametrize(
         "top, word", [(40, np.int32), (2**23 - 1, np.int32), (2**23, np.int64), (2**28, np.int64)]
     )
     def test_signed_values_in_either_word(self, words, top, word):
-        """f = 1 everywhere and max |g| = top: 2^4 ||f||_1 ||g||_inf is
-        below 2^31 exactly when top < 2^23.  Both words match the direct
-        double sum, for f*g and for g*g."""
+        """f = 1 everywhere and max |g| = top: 2^4 ||f||_1 ||g||_inf bounds
+        2^4 |f*g| and is below 2^31 exactly when top < 2^23, so f*g fits
+        `word`; int64 fits every top.  Each word its bound admits matches
+        the direct double sum, for f*g and for g*g."""
         rng = np.random.default_rng(top)
-        f = DenseTable(4, np.ones(16, dtype=np.int64))
-        g = DenseTable(4, rng.integers(-top, top + 1, size=16))
-        g.values[5] = -top
+        f = np.ones(16, dtype=np.int64)
+        g = rng.integers(-top, top + 1, size=16)
+        g[5] = -top
         for a, b in ((f, g), (g, g)):
-            direct = [
-                sum(int(a.values[x]) * int(b.values[x ^ y]) for x in range(16))
-                for y in range(16)
-            ]
-            assert convolve(a, b).values.tolist() == direct
+            bound = 16 * int(np.abs(a).sum()) * int(np.abs(b).max())
+            for w in (np.int32, np.int64) if bound < 2**31 else (np.int64,):
+                ghat = None if a is b else fwht(b, w)
+                assert fwht_module.convolve(a, w, ghat).tolist() == _direct(a, b)
         assert words[0] == np.dtype(word)
 
     def test_zero_count_is_solution_count(self):
@@ -138,10 +142,10 @@ class TestConvolve:
             n = rng.randint(2, 8)
             f = random_formula(rng, n)
             table = indicator_table(f)
-            conv = convolve(table, table)
-            assert conv.values[0] == len(enumerate_solutions(f))
-            assert conv.values.min() >= 0
-            assert conv.values.max() <= 1 << n
+            conv = convolve(table, _word(n, int(table.sum())))
+            assert conv[0] == len(enumerate_solutions(f))
+            assert conv.min() >= 0
+            assert conv.max() <= 1 << n
 
 
 class TestExactDiameter:
@@ -196,10 +200,10 @@ def _brute_diameter_pair(formula):
 class TestWord:
     def test_boundary(self):
         # 2^18 * 8191 = 2^31 - 2^18 fits int32; 2^18 * 8192 = 2^31 does not
-        assert fwht_module._word(18, 8191) is np.int32
-        assert fwht_module._word(18, 8192) is np.int64
-        assert fwht_module._word(0, 2**31 - 1) is np.int32
-        assert fwht_module._word(26, 1 << 26) is np.int64
+        assert _word(18, 8191) is np.int32
+        assert _word(18, 8192) is np.int64
+        assert _word(0, 2**31 - 1) is np.int32
+        assert _word(26, 1 << 26) is np.int64
 
     @pytest.mark.parametrize("count, word", [(8192, np.int64), (8191, np.int32)])
     def test_diameter_at_the_boundary(self, words, count, word):

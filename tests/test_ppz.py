@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dispersat.brute import enumerate_solutions, solution_adjacency
+from dispersat.brute import enumerate_solutions
 from dispersat.cnf import Assignment, CapabilityError, CnfFormula, evaluate
 from dispersat.generators import planted_kcnf
 from dispersat.ppz import (
@@ -25,6 +25,8 @@ from dispersat.ppz import (
     tau_exact,
     tau_histogram,
 )
+
+from solution_graph import solution_adjacency
 
 
 def A(s):
