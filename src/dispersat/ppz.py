@@ -9,10 +9,11 @@ checked as exact rationals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -33,7 +34,8 @@ class OracleConfig:
     """Randomness and budget knobs for the randomized oracles.
 
     repetitions=None resolves to ceil(effort * 4 n^2 * growth), capped by
-    HARD_REPETITION_CAP; growth is 2^(n - n/k) for PPZ.
+    HARD_REPETITION_CAP; growth is 2^(n - n/k) for PPZ, whose budget is
+    refused, not cut, above the cap.
     """
 
     seed: int = 0
@@ -45,7 +47,17 @@ class OracleConfig:
             raise ValueError(f"effort must be finite and > 0, got {self.effort}")
 
     def resolve(self, n, k):
-        return self.budget(n, 2 ** (n - n / max(k, 1)))
+        """The PPZ sample budget; CapabilityError when HARD_REPETITION_CAP
+        would cut the count asked for, automatic or set."""
+        growth = 2 ** (n - n / max(k, 1))
+        total = self.budget(n, growth)
+        asked = self.repetitions or math.ceil(self.effort * 4 * n * n * growth)
+        if total < asked:
+            raise CapabilityError(
+                f"PPZ budget of {asked} samples (n={n}) is above the cap of "
+                f"{HARD_REPETITION_CAP}"
+            )
+        return total
 
     def budget(self, n, growth):
         """Repetitions of a search expected to need about 4 n^2 growth
@@ -108,59 +120,103 @@ def word_for(n):
     return next(w for w in _WORDS if np.iinfo(w).bits >= n)
 
 
+@functools.cache
+def _open_bits():
+    """(8, 256, 256) uint8: entry [i, p << 4 | q, t << 4 | f] is 1 << i
+    when a clause whose positive/negative literals in one 4-bit group are
+    p/q still has a literal there that is not false, with the group's
+    variables set true/false being t/f; else 0."""
+    pq = np.arange(256)[:, None]
+    tf = np.arange(256)
+    is_open = (((pq >> 4) & ~tf) | (pq & 15 & ~(tf >> 4)) != 0).astype(np.uint8)
+    bits = is_open << np.arange(8, dtype=np.uint8)[:, None, None]
+    bits.flags.writeable = False  # shared by every engine
+    return bits
+
+
 class _Engine:
     """Vectorized PPZ-Modify over batches of (y, pi) samples.
 
-    Each sample's partial assignment is two words of the narrowest
-    unsigned type holding n bits: `true` has the variables set true,
-    `false` those set false (variable v is bit n - v, as in keys).
-    Row v of `po`/`no` holds the positive/negative literal masks,
-    without v's own bit, of the clauses containing v in clause order;
-    such a clause forces v once all its other literals are false.
-    Padding columns are all ones, so they are never unit.  A step packs
-    each sample's unit flags into lanes (bit j = j-th clause of v) and
-    takes the lowest set bit, whose bit in the lane of `sign` says
-    whether v is positive there: the first unit clause wins.
+    A sample's partial assignment is `true`, the variables set true, in
+    a word of the narrowest unsigned type holding n bits (variable v is
+    bit n - v, as in keys), beside a code of one uint64 word for n <= 32
+    and two for n <= 63: byte g of the code is (true nibble g) << 4 |
+    (false nibble g) of key bits 4g .. 4g + 3.  Setting v ORs its
+    `code_bit` into the code, shifted up 4 when v is set true.
+
+    The clauses containing v, in clause order, are v's lane bits (bit j
+    = j-th clause of v, in words of dtype `lane`); such a clause forces
+    v once all its other literals are false.  Group g's table, the rows
+    of `tables` from `offset[g]`, holds at row v << 8 | (byte g of the
+    code) the lanes of v's clauses that still have a literal in group g
+    that is not false.  Padding bits are always set, so they are never
+    unit.  A step ORs v's rows over the groups and inverts them into
+    unit lanes, then takes the lowest set bit, whose bit in the lane of
+    `sign` says whether v is positive there: the first unit clause wins.
     """
 
     def __init__(self, formula):
         n = self.n = formula.n
         word = self.word = word_for(n)
-        self.bit = np.array([0] + [1 << (n - v) for v in range(1, n + 1)], word)
-        pmask = [sum(1 << (n - l) for l in c if l > 0) for c in formula.clauses]
-        nmask = [sum(1 << (n + l) for l in c if l < 0) for c in formula.clauses]
-        self.pmask = np.array(pmask, dtype=word)
-        self.nmask = np.array(nmask, dtype=word)
-        rows = [[] for _ in range(n + 1)]
-        for ci, clause in enumerate(formula.clauses):
-            for lit in clause:
-                own = ~(1 << (n - abs(lit)))
-                rows[abs(lit)].append((pmask[ci] & own, nmask[ci] & own, lit > 0))
-        width = max(8, *(len(row) for row in rows))
+        at = n - np.arange(n + 1)  # key bit of variable v at index v
+        self.bit = np.zeros(n + 1, dtype=word)
+        self.bit[1:] = np.int64(1) << at[1:]
+        sizes = np.fromiter(map(len, formula.clauses), np.intp, len(formula.clauses))
+        lits = np.fromiter(chain.from_iterable(formula.clauses), np.int64, sizes.sum())
+        clause = np.repeat(np.arange(sizes.size), sizes)
+        var = np.abs(lits)
+        bit = np.int64(1) << at[var]
+        pmask = np.zeros(sizes.size, np.int64)
+        nmask = pmask.copy()
+        np.add.at(pmask, clause, np.where(lits > 0, bit, 0))
+        np.add.at(nmask, clause, np.where(lits < 0, bit, 0))
+        self.pmask = pmask.astype(word)
+        self.nmask = nmask.astype(word)
+        # literal i is column col[i] of row var[i]: v's clauses in clause order
+        count = np.bincount(var, minlength=n + 1)
+        order = np.argsort(var, kind="stable")
+        col = np.empty_like(order)
+        col[order] = np.arange(order.size) - np.repeat(np.cumsum(count) - count, count)
+        width = max(8, int(count.max()))
         bits = min(64, 1 << (width - 1).bit_length())  # lane width
         self.lane = np.dtype(f"<u{bits // 8}")
         width = -(-width // bits) * bits
-        self.po = np.full((n + 1, width), np.iinfo(word).max, dtype=word)
-        self.no = self.po.copy()
         sign = np.zeros((n + 1, width), dtype=bool)
-        for v, row in enumerate(rows):
-            if row:
-                cols = len(row)
-                self.po[v, :cols], self.no[v, :cols], sign[v, :cols] = zip(*row)
+        sign[var, col] = lits > 0
         self.sign = np.packbits(sign, axis=1, bitorder="little").view(self.lane)
+        # pq[g, v, j]: the other literals of v's clause j in group g, as
+        # (positive nibble) << 4 | (negative nibble)
+        groups = -(-n // 4)
+        shifts = np.arange(0, 4 * groups, 4)[:, None]
+        pq = np.full((groups, n + 1, width), 255, dtype=np.uint8)  # padding: open
+        pq[:, var, col] = ((pmask[clause] & ~bit) >> shifts & 15) << 4 | (
+            (nmask[clause] & ~bit) >> shifts & 15
+        )
+        open_bits = _open_bits()
+        # packed[g, v, c, s]: byte c of v's lanes in group g at state byte s
+        packed = open_bits[0].take(pq[..., 0::8], axis=0)
+        for i in range(1, 8):
+            packed |= open_bits[i].take(pq[..., i::8], axis=0)
+        tables = np.ascontiguousarray(packed.transpose(0, 1, 3, 2)).view(self.lane)
+        self.tables = tables.reshape(groups * (n + 1) << 8, width // bits)
+        self.offset = np.arange(groups)[:, None] * ((n + 1) << 8)
+        self.code_bit = np.zeros((n + 1, max(1, -(-groups // 8))), dtype="<u8")
+        g = at[1:] >> 2  # group of variable v
+        self.code_bit[1:][np.arange(n), g >> 3] = np.uint64(1) << (
+            (g & 7) * 8 + (at[1:] & 3)
+        ).astype(np.uint64)
 
     def run(self, ys, pis):
-        """ys: (B, n) 0/1 bits, variable 1 in column 0; pis: (B, n)
+        """ys: (B, n) 0/1 bits, variable 1 in column 0; pis: (B, n) int64
         1-based processing orders.  Returns (int64 keys, satisfied)."""
         b = len(ys)
         y = ys.astype(self.word) @ self.bit[1:]
         true = np.zeros(b, dtype=self.word)
-        false = np.zeros_like(true)
+        code = np.zeros((b, self.code_bit.shape[1]), dtype="<u8")
+        nibbles = code.view(np.uint8)[:, : len(self.offset)].T  # row g: byte g
         for v in pis.T:
-            open_lits = self.po.take(v, axis=0) & ~false[:, None]
-            open_lits |= self.no.take(v, axis=0) & ~true[:, None]
-            units = np.packbits(open_lits == 0, axis=None, bitorder="little")
-            units = units.view(self.lane).reshape(b, -1)
+            rows = self.tables.take(nibbles + (self.offset + (v << 8)), axis=0)
+            units = ~np.bitwise_or.reduce(rows, axis=0)
             signs = self.sign.take(v, axis=0)
             bit = self.bit[v]
             value = y & bit
@@ -169,8 +225,9 @@ class _Engine:
                 forced = (signs[:, lane] & unit & -unit) != 0
                 value = np.where(unit != 0, bit * forced, value)
             true |= value
-            false |= value ^ bit
-        sat = (self.pmask[:, None] & true) | (self.nmask[:, None] & false)
+            set_true = (value != 0).astype(np.uint8) << np.uint8(2)
+            code |= self.code_bit.take(v, axis=0) << set_true[:, None]
+        sat = (self.pmask[:, None] & true) | (self.nmask[:, None] & ~true)
         return true.astype(np.int64), (sat != 0).all(axis=0)
 
 
@@ -190,7 +247,9 @@ def _batches(formula, cfg, total, cuts=(_BATCH,)):
     `cuts`, so a caller can stop early without changing the stream."""
     eng = packed_engine(formula, _Engine)
     n = formula.n
-    base = np.tile(np.arange(1, n + 1, dtype=np.int64), (_BATCH, 1))
+    # `permuted` copies this view into a fresh column-major block, so
+    # no (B, n) block is tiled and each step's variables are contiguous
+    base = np.broadcast_to(np.arange(1, n + 1, dtype=np.int64), (_BATCH, n))
     for batch_index, done in enumerate(range(0, total, _BATCH)):
         take = min(_BATCH, total - done)
         gen = np.random.default_rng(cfg.seed_sequence(batch_index))
@@ -252,10 +311,10 @@ def ppz_solve_counted(formula, cfg=OracleConfig()):
     return None, total
 
 
-def _batch_winners(formula, cfg, anchor_keys, reduce, reject_keys=None):
+def _batch_winners(formula, cfg, total, anchor_keys, reduce, reject_keys=None):
     """Keys of each batch's farthest satisfying output (see
-    `farthest_index`), skipping outputs whose key is in reject_keys."""
-    total = cfg.resolve(formula.n, formula.k)
+    `farthest_index`) over `total` samples, skipping outputs whose key is
+    in reject_keys."""
     winners = []
     for keys, satisfied, _ in _batches(formula, cfg, total):
         keys = keys[satisfied]
@@ -277,7 +336,8 @@ def ppz_farthest_sum(formula, anchors, cfg=OracleConfig(), exclude=False):
     exclude=True discards outputs equal to an anchor (distinct variant)."""
     anchor_keys = anchor_keys_of(formula.n, anchors)
     reject = np.array(anchor_keys, dtype=np.int64) if exclude else None
-    winners = _batch_winners(formula, cfg, anchor_keys, np.sum, reject)
+    total = cfg.resolve(formula.n, formula.k)
+    winners = _batch_winners(formula, cfg, total, anchor_keys, np.sum, reject)
     return _farthest(formula.n, winners, anchor_keys, np.sum)
 
 
@@ -327,11 +387,12 @@ def ppz_farthest_min(formula, anchors, cfg=OracleConfig()):
             f"phase 1 would evaluate {anchor_keys.size * ball} keys (radius "
             f"{radius}, n={n}), above the cap of {HARD_REPETITION_CAP}"
         )
+    total = cfg.resolve(n, formula.k)
     masks = _ball_masks(n, radius)
     step = max(1, _BALL_CHUNK // anchor_keys.size)
     hits = []
     for lo in range(0, masks.size, step):
         keys = (anchor_keys[:, None] ^ masks[lo : lo + step]).ravel()
         hits.append(keys[evaluate_keys(formula, keys)])
-    hits.append(_batch_winners(formula, cfg, anchor_keys, np.min))
+    hits.append(_batch_winners(formula, cfg, total, anchor_keys, np.min))
     return _farthest(n, np.concatenate(hits), anchor_keys, np.min)

@@ -3,17 +3,20 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dispersat
-from dispersat import cli, dispersion
+from dispersat import cli, dispersion, ppz
 from dispersat.cli import probe_speedup, run
+from dispersat.brute import enumerate_solutions
 from dispersat.cnf import Assignment
 from dispersat.generators import planted_kcnf
 from dispersat.measures import SolutionCollection
+from dispersat.ppz import tau_exact
 
 
 OR2 = "p cnf 2 1\n1 2 0\n"
@@ -84,6 +87,41 @@ class TestTooLarge:
         assert code == 1
         assert data["status"] == "TOO_LARGE"
         assert "above the cap" in data["message"]
+
+    @pytest.mark.parametrize(
+        "argv, asked",
+        [
+            ("diameter --algo ppz --seed 3 -", 40638),
+            ("diameter --algo ppz --repetitions 101 --seed 3 -", 101),
+            ("disperse --s 3 --algo ppz --seed 3 -", 40638),
+            ("disperse --s 3 --algo ppz --objective sum --seed 3 -", 40638),
+        ],
+        ids=["diameter", "diameter-repetitions", "disperse-min", "disperse-sum"],
+    )
+    def test_ppz_budget_above_cap_is_refused(self, monkeypatch, capsys, argv, asked):
+        """A PPZ budget above the cap used to be cut to it silently and
+        reported OK; it is refused, and the message names both counts."""
+        monkeypatch.setattr(ppz, "HARD_REPETITION_CAP", 100)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(F10))
+        assert run(argv.split()) == 1
+        data = capture(capsys)
+        assert data["status"] == "TOO_LARGE"
+        assert data["message"] == (
+            f"PPZ budget of {asked} samples (n=10) is above the cap of 100"
+        )
+
+    def test_ppz_diameter_n23_refused_at_once(self, tmp_path, capsys):
+        """From n=23 (k=3) the paper's PPZ budget exceeds 2^26 samples."""
+        formula, _ = planted_kcnf(23, 3, 92, np.random.default_rng(0))
+        path = tmp_path / "n23.cnf"
+        path.write_text(formula.to_dimacs())
+        started = time.perf_counter()
+        code = run(["diameter", "--algo", "ppz", str(path)])
+        data = capture(capsys)
+        assert time.perf_counter() - started < 1
+        assert code == 1
+        assert data["status"] == "TOO_LARGE"
+        assert f"(n=23) is above the cap of {1 << 26}" in data["message"]
 
     def test_exact_disperse_refusal_names_the_option(self, tmp_path, capsys):
         """`disperse` has no `--limit`; the refusal points at the one
@@ -543,6 +581,81 @@ class TestSchoeningGolden:
         data = capture(capsys)
         data.pop("wall_time_ms")
         assert json.dumps(data, sort_keys=True) == expected
+
+
+P8 = planted_kcnf(8, 7, 60, np.random.default_rng(8))[0].to_dimacs()
+P16 = planted_kcnf(16, 3, 48, np.random.default_rng(16))[0].to_dimacs()
+
+
+class TestPpzGolden:
+    """Seeded PPZ reports, pinned byte for byte apart from `wall_time_ms`,
+    so that changes to the PPZ batch engine keep the seeded outputs.  P8
+    is the benchmark's n=8, k=7 family; P16 a planted n=16, k=3 formula."""
+
+    @pytest.mark.parametrize(
+        "text, argv, expected",
+        [
+            (
+                F10,
+                "diameter --algo ppz --seed 21 -",
+                '{"assignments": ["0010110110", "1101011000"], '
+                '"command": "diameter --algo ppz --seed 21 -", '
+                '"counters": {"iterations": 3}, "schema_version": 1, "seed": 21, '
+                '"status": "OK", "values": {"distance": 8}}',
+            ),
+            (
+                F10,
+                "disperse --s 3 --algo ppz --objective min --seed 22 -",
+                '{"assignments": ["1000111111", "0101011100", "0010110100"], '
+                '"command": "disperse --s 3 --algo ppz --objective min --seed 22 -", '
+                '"counters": {"oracle_calls": 2}, "schema_version": 1, "seed": 22, '
+                '"status": "OK", "values": {"minPD": 5, "sumPD": 16}}',
+            ),
+            (
+                F10,
+                "disperse --s 3 --algo ppz --objective sum --seed 23 -",
+                '{"assignments": ["0010110100", "1000101111", "1101011000"], '
+                '"command": "disperse --s 3 --algo ppz --objective sum --seed 23 -", '
+                '"counters": {"oracle_calls": 8}, "schema_version": 1, "seed": 23, '
+                '"status": "OK", "values": {"minPD": 6, "sumPD": 20}}',
+            ),
+            (
+                F10,
+                "disperse --s 3 --algo ppz --objective sum-distinct --seed 24 -",
+                '{"assignments": ["0010110100", "1000101111", "1101011000"], '
+                '"command": "disperse --s 3 --algo ppz --objective sum-distinct '
+                '--seed 24 -", "counters": {"oracle_calls": 8}, "schema_version": 1, '
+                '"seed": 24, "status": "OK", "values": {"minPD": 6, "sumPD": 20}}',
+            ),
+            (
+                P8,
+                "disperse --s 3 --algo ppz --objective min --seed 25 -",
+                '{"assignments": ["01011011", "10100100", "00000001"], '
+                '"command": "disperse --s 3 --algo ppz --objective min --seed 25 -", '
+                '"counters": {"oracle_calls": 2}, "schema_version": 1, "seed": 25, '
+                '"status": "OK", "values": {"minPD": 4, "sumPD": 16}}',
+            ),
+            (
+                P16,
+                "diameter --algo ppz --effort 0.25 --seed 26 -",
+                '{"assignments": ["0000011001011010", "1010100110100001"], '
+                '"command": "diameter --algo ppz --effort 0.25 --seed 26 -", '
+                '"counters": {"iterations": 21}, "schema_version": 1, "seed": 26, '
+                '"status": "OK", "values": {"distance": 13}}',
+            ),
+        ],
+        ids=["diameter", "min", "sum", "sum-distinct", "planted-n8-k7", "planted-n16-k3"],
+    )
+    def test_pinned_report(self, monkeypatch, capsys, text, argv, expected):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(argv.split()) == 0
+        data = capture(capsys)
+        data.pop("wall_time_ms")
+        assert json.dumps(data, sort_keys=True) == expected
+
+    def test_pinned_tau_exact(self):
+        f, _ = planted_kcnf(6, 3, 12, np.random.default_rng(6))
+        assert tau_exact(f, enumerate_solutions(f)) == Fraction(6427, 11520)
 
 
 class TestEstimateRuntime:

@@ -107,12 +107,17 @@ class TestEngine:
             f = random_formula(rng, n, m=rng.randint(0, 3 * n))
             assert_engine_matches_modify(f, random_samples(rng, n, 8))
 
-    @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 31, 32, 33, 62, 63])
+    @pytest.mark.parametrize(
+        "n", [3, 4, 5, 7, 8, 9, 12, 13, 15, 16, 17, 31, 32, 33, 62, 63]
+    )
     def test_bit_identical_across_word_boundaries(self, n):
         rng = random.Random(n)
         for trial in range(3):
             clauses = [
-                [rng.choice([-1, 1]) * v for v in rng.sample(range(1, n + 1), w)]
+                [
+                    rng.choice([-1, 1]) * v
+                    for v in rng.sample(range(1, n + 1), min(w, n))
+                ]
                 for w in rng.choices([1, 2, 3, 4], k=rng.randint(n // 2, 2 * n))
             ]
             if trial == 1:
@@ -138,10 +143,40 @@ class TestEngine:
         samples = random_samples(rng, n, 40)
         assert_engine_matches_modify(f, samples)
 
+    @pytest.mark.parametrize("n", [2, 5, 9, 33])
+    def test_variable_in_no_clause(self, n):
+        """Variable u occurs in no clause: its table rows are all padding,
+        so it is never unit and copies its bit of y."""
+        rng = random.Random(100 + n)
+        u = n // 2 + 1
+        others = [v for v in range(1, n + 1) if v != u]
+        clauses = [
+            [rng.choice([-1, 1]) * v for v in rng.sample(others, min(n - 1, 3))]
+            for _ in range(2 * n)
+        ]
+        f = CnfFormula(n, clauses)
+        assert all(u not in map(abs, c) for c in f.clauses)
+        assert_engine_matches_modify(f, random_samples(rng, n, 40))
+
+    @pytest.mark.parametrize(
+        "n, m", [(0, 0), (1, 1), (8, 60), (13, 40), (33, 90), (63, 300)]
+    )
+    def test_table_bytes(self, n, m):
+        """The unit tables hold (n+1) ceil(n/4) 256 lanes lane words."""
+        rng = random.Random(n)
+        eng = _Engine(random_formula(rng, n, k=3, m=m))
+        lanes = eng.sign.shape[1]
+        assert eng.tables.dtype == eng.sign.dtype == eng.lane
+        words = (n + 1) * -(-n // 4) * 256 * lanes
+        assert eng.tables.nbytes <= words * eng.lane.itemsize
+
     def test_n64_refused(self):
         with pytest.raises(CapabilityError):
             packed_engine(CnfFormula(64, [(1, 64)]), _Engine)
-        assert ppz_solve(CnfFormula(63, [(1, -63)]), OracleConfig(seed=1)) is not None
+        f63 = CnfFormula(63, [(1, -63)])
+        assert ppz_solve(f63, OracleConfig(seed=1, repetitions=64)) is not None
+        with pytest.raises(CapabilityError, match="above the cap"):
+            ppz_solve(f63, OracleConfig(seed=1))  # the automatic budget
 
 
 class TestEngineEdges:
