@@ -5,19 +5,28 @@ The indicator vector of the solution space (`indicator_table`, built by
 clearing the subcube each clause falsifies) is convolved with itself, or
 with products of shifted copies of itself; a positive entry at
 difference vector y certifies a solution pair (tuple) realizing y.
+A coordinate on which every solution agrees adds 0 to every distance,
+so both exact entry points first project the 2^n indicator onto the n'
+coordinates the solutions disagree on (`_project`), run every transform
+on that table of 2^n' entries, and put the constant bits back into the
+witness (`_expand`).  The projection keeps key order, on solutions and
+on differences, so every tie rule picks the witness it would pick over
+all 2^n entries.
 Arithmetic is exact integer arithmetic, since the positivity test must
 not round.  `fwht` and `convolve` work in the word their caller passes;
 the one word rule, `_word`, picks int32 when 2^n times the largest count
-(2^n |S| for solution counts) is below 2^31, else int64.  The butterfly
-runs in place on one table or on a stack of tables; it is a ring map mod
-2^32 or 2^64, so wraparound of intermediate values cannot change a final
-entry that fits the word.  A 0/1 table's transform, at most 2^26 in
-size, is always taken in int32 and widened after.
+(2^n' |S| for solution counts on the projected table) is below 2^31,
+else int64.  The butterfly runs in place on one table or on a stack of
+tables; it is a ring map mod 2^32 or 2^64, so wraparound of
+intermediate values cannot change a final entry that fits the word.  A
+0/1 table's transform, at most 2^26 in size, is always taken in int32
+and widened after.
 
-Memory is a few tables of 2^n entries (at most 8 * 2^n bytes each) plus,
-in `exact_dispersion`, one chunk of stacked tables; `indicator_table`,
-which both exact entry points build first, refuses an n above its limit
-with CapabilityError before allocating.
+Memory is the bool indicator of 2^n entries plus a few tables of 2^n'
+entries (at most 8 * 2^n' bytes each) and, in `exact_dispersion`, one
+chunk of stacked tables; `indicator_table`, which both exact entry
+points build first, refuses an n above its limit with CapabilityError
+before allocating.
 """
 
 from __future__ import annotations
@@ -57,6 +66,43 @@ def indicator_table(formula, tables=1):
 def _word(n, largest):
     """int32 when the largest final entry, 2^n * `largest`, fits it."""
     return np.int32 if largest * (1 << n) < 2**31 else np.int64
+
+
+def _project(fb):
+    """The solution indicator `fb` of 2^n entries restricted to the n'
+    coordinates on which the solutions disagree, as (table, bits, base):
+    the table of 2^n' entries, the coordinates it keeps in increasing
+    order, and the key of the constant bits.  The table is the slice of
+    `fb` that fixes every constant coordinate to its bit in `base`, so
+    it keeps key order, and with no constant coordinate it is `fb`."""
+    n = len(fb).bit_length() - 1
+    # fold the table in half on each coordinate, the top one first: a
+    # solution in the low (high) half has that bit 0 (1)
+    zeros = ones = 0
+    seen = fb
+    for bit in range(n - 1, -1, -1):
+        low, high = seen.reshape(2, -1)
+        zeros |= int(low.any()) << bit
+        ones |= int(high.any()) << bit
+        seen = low | high
+    free = zeros & ones
+    base = ones ^ free
+    # axis a of the (2,)*n view is coordinate n-1-a; the trailing
+    # Ellipsis keeps a 0-d view, not a scalar, when every axis is fixed
+    axes = tuple(
+        slice(None) if free >> bit & 1 else base >> bit & 1
+        for bit in range(n - 1, -1, -1)
+    )
+    bits = [bit for bit in range(n) if free >> bit & 1]
+    return fb.reshape((2,) * n)[(*axes, ...)].reshape(-1), bits, base
+
+
+def _expand(key, bits, base):
+    """The n-bit key with bit i of the projected `key` at coordinate
+    bits[i] and every other coordinate as in `base`."""
+    for i, bit in enumerate(bits):
+        base |= (key >> i & 1) << bit
+    return base
 
 
 def _fwht_inplace(v):
@@ -116,13 +162,14 @@ def exact_diameter(formula):
     num_solutions = int(np.count_nonzero(fb))
     if num_solutions == 0:
         raise UnsatError("formula has no satisfying assignment")
-    conv = convolve(fb, _word(formula.n, num_solutions))
+    fb, bits, base = _project(fb)
+    conv = convolve(fb, _word(len(bits), num_solutions))
     if (conv < 0).any():
         raise AssertionError("pair counts must be nonnegative")
     positive = np.flatnonzero(conv)
     y = int(positive[np.argmax(popcount(positive))])
-    x = int(np.argmax(fb & fb[np.arange(1 << formula.n) ^ y]))
-    return Assignment(formula.n, x), Assignment(formula.n, x ^ y)
+    x = int(np.argmax(fb & fb[np.arange(len(fb)) ^ y]))
+    return tuple(Assignment(formula.n, _expand(key, bits, base)) for key in (x, x ^ y))
 
 
 def _pair_distances(offsets, pc):
@@ -169,11 +216,12 @@ def exact_dispersion(formula, s, objective):
     The best objective value over all certified tuples is exact; the
     first tuple in lexicographic order, then the first y, wins ties.
     An offset outside the difference set D = {w : (f*f)(w) > 0} makes
-    g all zero, so only tuples over D are visited.  Their product tables
-    are stacked as the columns of chunks of about _CHUNK_ENTRIES
-    entries per live table (one tuple per chunk once 2^n is larger), and
-    each chunk takes one batched forward and inverse transform; space
-    stays at O(2^n + _CHUNK_ENTRIES).
+    g all zero, so only tuples over D are visited.  All of this runs on
+    the projected table of 2^n' entries.  Its product tables are stacked
+    as the columns of chunks of about _CHUNK_ENTRIES entries per live
+    table (one tuple per chunk once 2^n' is larger), and each chunk
+    takes one batched forward and inverse transform; space stays at
+    O(2^n + _CHUNK_ENTRIES), the 2^n being the bool indicator.
     """
     if s < 2:
         raise ValueError("s must be >= 2")
@@ -191,9 +239,10 @@ def exact_dispersion(formula, s, objective):
         raise InfeasibleError(
             f"only {num_solutions} solutions, need a set of {s}"
         )
-    idx = np.arange(1 << n)
+    fb, bits, base = _project(fb)
+    idx = np.arange(len(fb))
     pc = popcount(idx)
-    fhat = fwht(fb, _word(n, num_solutions))
+    fhat = fwht(fb, _word(len(bits), num_solutions))
     # s = 2 has the one empty tuple and needs no difference set
     diffs = np.flatnonzero(convolve(fb, fhat.dtype)).tolist() if s > 2 else []
     tuples = product(diffs, repeat=s - 2)
@@ -201,7 +250,7 @@ def exact_dispersion(formula, s, objective):
         # offsets must be distinct and nonzero for an all-distinct tuple
         tuples = (w for w in tuples if 0 not in w and len(set(w)) == s - 2)
     fold = np.minimum if objective is DispersionObjective.MIN_PD else np.add
-    per_chunk = max(1, _CHUNK_ENTRIES >> n)
+    per_chunk = max(1, _CHUNK_ENTRIES >> len(bits))
     best_value = -1
     best_diffs = None
     while chunk := list(islice(tuples, per_chunk)):
@@ -216,5 +265,5 @@ def exact_dispersion(formula, s, objective):
     if best_diffs is None:
         raise InfeasibleError("no qualifying tuple of solutions exists")
     x = int(np.argmax(np.logical_and.reduce([fb[idx ^ d] for d in best_diffs])))
-    members = sorted(Assignment(n, x ^ d) for d in best_diffs)
+    members = sorted(Assignment(n, _expand(x ^ d, bits, base)) for d in best_diffs)
     return SolutionCollection(members, distinct=distinct)

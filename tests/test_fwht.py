@@ -58,6 +58,20 @@ def words(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def convolutions(monkeypatch):
+    """The table length and the word, as a dtype, of every `convolve`
+    call, in call order."""
+    seen = []
+
+    def spy(f, word, ghat=None):
+        seen.append((len(f), np.dtype(word)))
+        return convolve(f, word, ghat)
+
+    monkeypatch.setattr(fwht_module, "convolve", spy)
+    return seen
+
+
 def test_submodule_is_not_shadowed():
     assert importlib.import_module("dispersat.fwht") is dispersat.fwht
     assert fwht_module.__name__ == "dispersat.fwht"
@@ -207,14 +221,24 @@ class TestWord:
 
     @pytest.mark.parametrize("count, word", [(8192, np.int64), (8191, np.int32)])
     def test_diameter_at_the_boundary(self, words, count, word):
-        """Five unit clauses leave 2^13 = 8192 solutions; an 18-literal
-        clause against the first of them leaves 8191, and moves x."""
-        units = [(1,), (-4,), (7,), (-11,), (15,)]
-        first = [-1, 2, 3, 4, 5, 6, -7] + list(range(8, 15)) + [-15, 16, 17, 18]
-        f = CnfFormula(18, units + ([] if count == 8192 else [tuple(first)]))
+        """Five disjoint equivalences x_a = x_(a+1) leave 2^13 = 8192
+        solutions with all 18 coordinates free, so the table keeps 2^18
+        entries; an 18-literal clause against the first of them, all
+        zeros, leaves 8191, and moves x."""
+        pairs = [c for a in (1, 4, 7, 11, 15) for c in ((a, -(a + 1)), (-a, a + 1))]
+        f = CnfFormula(18, pairs + ([] if count == 8192 else [tuple(range(1, 19))]))
         z1, z2 = exact_diameter(f)
         assert words == [np.dtype(word)]
         assert int(evaluate_keys(f, np.arange(1 << 18)).sum()) == count
+        assert (z1.key, z2.key) == _brute_diameter_pair(f)
+
+    def test_backbone_narrows_the_word(self, convolutions):
+        """Five unit clauses also leave 8192 solutions, but fix five
+        coordinates: the table has 2^13 entries, and 2^13 * 8192 = 2^26
+        fits int32."""
+        f = CnfFormula(18, [(1,), (-4,), (7,), (-11,), (15,)])
+        z1, z2 = exact_diameter(f)
+        assert convolutions == [(1 << 13, np.dtype(np.int32))]
         assert (z1.key, z2.key) == _brute_diameter_pair(f)
 
 
@@ -451,6 +475,88 @@ class TestBatchedDispersion:
         monkeypatch.setattr(fwht_module, "_word", lambda n, largest: np.int64)
         for f, s, keys in cases:
             assert [z.key for z in exact_dispersion(f, s, objective)] == keys
+
+
+def _free_coordinates(formula):
+    """n', the number of coordinates on which the solutions of
+    `formula` disagree, from its brute-force solution keys."""
+    keys = np.flatnonzero(evaluate_keys(formula, np.arange(1 << formula.n)))
+    return bin(int(np.bitwise_or.reduce(keys)) ^ int(np.bitwise_and.reduce(keys))).count("1")
+
+
+def _backbone_formulas():
+    """Satisfiable formulas at n = 0..7 with forced backbones: random
+    clauses plus unit clauses on 0..n distinct variables, so that n'
+    ranges from 0 (one solution) to n (no backbone)."""
+    rng = random.Random(19)
+    formulas = [CnfFormula(0, []), CnfFormula(1, []), CnfFormula(1, [(-1,)]), CnfFormula(5, [])]
+    while len(formulas) < 40:
+        n = rng.randint(1, 7)
+        units = [(rng.choice([-1, 1]) * v,) for v in rng.sample(range(1, n + 1), rng.randint(0, n))]
+        f = CnfFormula(n, list(_random_formula_any_width(rng, n).clauses) + units)
+        if evaluate_keys(f, np.arange(1 << n)).any():
+            formulas.append(f)
+    return formulas
+
+
+class TestProjection:
+    def test_cases_cover_every_width(self):
+        widths = [(f.n, _free_coordinates(f)) for f in _backbone_formulas()]
+        assert {n for n, _ in widths} >= {0, 1, 7}
+        assert any(free == 0 < n for n, free in widths)
+        assert any(0 < free < n for n, free in widths)
+        assert any(free == n > 1 for n, free in widths)
+
+    def test_table_is_the_slice_at_the_base(self):
+        """Random solution sets that agree on the coordinates of a random
+        mask: the table holds fb at the expanded keys, in key order, and
+        is a view of fb when no coordinate is constant."""
+        rng = np.random.default_rng(5)
+        for n in range(8):
+            for _ in range(8):
+                keys = rng.integers(0, 1 << n, size=rng.integers(1, 6))
+                mask = int(rng.integers(0, 1 << n))
+                fb = np.zeros(1 << n, dtype=bool)
+                fb[(keys & ~mask) | (int(keys[0]) & mask)] = True
+                table, bits, base = fwht_module._project(fb)
+                solutions = np.flatnonzero(fb)
+                assert len(table) == 1 << len(bits)
+                assert base == int(np.bitwise_and.reduce(solutions))
+                full = [fwht_module._expand(k, bits, base) for k in range(len(table))]
+                assert full == sorted(full)
+                assert table.tolist() == fb[full].tolist()
+                assert set(solutions.tolist()) <= set(full)
+                if len(bits) == n:
+                    assert np.shares_memory(table, fb)
+
+    def test_diameter_matches_brute_pair(self, convolutions):
+        for f in _backbone_formulas():
+            del convolutions[:]
+            z1, z2 = exact_diameter(f)
+            assert (z1.key, z2.key) == _brute_diameter_pair(f)
+            assert [size for size, _ in convolutions] == [1 << _free_coordinates(f)]
+
+    @pytest.mark.parametrize("objective", list(DispersionObjective))
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_dispersion_matches_brute(self, convolutions, objective, s):
+        for f in _backbone_formulas():
+            del convolutions[:]
+            try:
+                expected = _per_offset_dispersion(f, s, objective)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    exact_dispersion(f, s, objective)
+                continue
+            got = exact_dispersion(f, s, objective)
+            assert [z.key for z in got] == expected
+            value, _ = brute_opt(f, s, objective)
+            measure = (
+                min_pairwise_distance
+                if objective is DispersionObjective.MIN_PD
+                else sum_pairwise_distance
+            )
+            assert measure(got) == value
+            assert convolutions and {size for size, _ in convolutions} == {1 << _free_coordinates(f)}
 
 
 class TestFailFast:

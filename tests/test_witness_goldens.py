@@ -5,14 +5,19 @@ solver returns, so that a changed tie-break shows up.  The clique and
 dispersion goldens were captured from the solvers as they stood before
 the clique solvers shared one tuple-graph builder; the diameter goldens
 from `exact_diameter` as it stood before it chose its word by the
-solution count, when every transform ran in int64.
+solution count, when every transform ran in int64; the backbone goldens
+from the `diameter` and `disperse --algo fwht` commands as they stood
+before the exact layer projected its table onto the coordinates the
+solutions disagree on, when every transform ran over all 2^n entries.
 """
 
+import json
 import random
 
 import numpy as np
 import pytest
 
+from dispersat.cli import run
 from dispersat.cliques import opt_min_clique, opt_sum_clique
 from dispersat.cnf import Assignment, CnfFormula, solution_indicator
 from dispersat.fwht import exact_diameter, exact_dispersion
@@ -146,3 +151,56 @@ def test_exact_diameter_witnesses(seed):
     assert (count << formula.n >= 2**31) == (seed >= 15)
     z1, z2 = exact_diameter(formula)
     assert (z1.to_string(), z2.to_string()) == DIAMETER[seed]
+
+
+# seed -> the `diameter --algo fwht` pair, then the `disperse --algo fwht`
+# members (or the status) for --objective min, sum and sum-distinct, with
+# --s 3 up to n = 12 and --s 2 above, on backbone_formula(seed)
+BACKBONE = {
+    0: ('110001 110011', 'INFEASIBLE', '110001 110011 110011', 'INFEASIBLE'),
+    1: ('000110 000111', 'INFEASIBLE', '000110 000111 000111', 'INFEASIBLE'),
+    2: ('1100000 1101101', '1100000 1101001 1101100', '1100000 1101101 1101101', '1100000 1101100 1101101'),
+    3: ('00011101 11100110', '00100101 01000110 01011101', '00011101 11100110 11100110', '00011101 11100110 11100111'),
+    4: ('000010001 101010111', '000010001 001010011 001010101', '000010001 101010111 101010111', '000010001 101010101 101010111'),
+    5: ('0101000000 1101000000', 'INFEASIBLE', '0101000000 1101000000 1101000000', 'INFEASIBLE'),
+    6: ('00001001000 01111101111', '00001001000 00111001011 00111101100', '00001001000 01111101111 01111101111', '00001001000 01111101110 01111101111'),
+    7: ('101001110110 101101110111', '101001110110 101101110110 101101110111', '101001110110 101101110111 101101110111', '101001110110 101101110110 101101110111'),
+    8: ('0000101000011 1011111010000', '0000101000011 1011111010000', '0000101000011 1011111010000', '0000101000011 1011111010000'),
+    9: ('00100010111000 01100010111000', '00100010111000 01100010111000', '00100010111000 01100010111000', '00100010111000 01100010111000'),
+    10: ('000010010101000 111101101010101', '000010010101000 111101101010101', '000010010101000 111101101010101', '000010010101000 111101101010101'),
+    11: ('0001100110101110 0011110110100111', '0001100110101110 0011110110100111', '0001100110101110 0011110110100111', '0001100110101110 0011110110100111'),
+}
+
+
+def backbone_formula(seed):
+    """Planted 3-CNFs at n = 6..16 whose unit clauses, set as in the
+    planted solution, fix 1 to n - 1 coordinates; with the implied ones,
+    n' runs from 1 to n - 1 across the seeds."""
+    rng = np.random.default_rng(1900 + seed)
+    n = 6 + seed * 10 // 11
+    formula, (planted,) = planted_kcnf(n, 3, n + 2 * (seed % 3), rng)
+    fixed = rng.choice(n, size=int(rng.integers(1, n)), replace=False) + 1
+    units = [(int(v) if planted.bit(int(v)) else -int(v),) for v in fixed]
+    return CnfFormula(n, list(formula.clauses) + units)
+
+
+def report(argv, capsys):
+    run(argv)
+    data = json.loads(capsys.readouterr().out)
+    return " ".join(data["assignments"]) if data["status"] == "OK" else data["status"]
+
+
+@pytest.mark.parametrize("seed", sorted(BACKBONE))
+def test_backbone_reports(seed, tmp_path, capsys):
+    formula = backbone_formula(seed)
+    keys = np.flatnonzero(solution_indicator(formula))
+    free = int(np.bitwise_or.reduce(keys)) ^ int(np.bitwise_and.reduce(keys))
+    assert free.bit_count() < formula.n
+    path = tmp_path / "backbone.cnf"
+    path.write_text(formula.to_dimacs())
+    s = "3" if formula.n <= 12 else "2"
+    got = (report(["diameter", "--algo", "fwht", str(path)], capsys),) + tuple(
+        report(["disperse", "--s", s, "--objective", objective, "--algo", "fwht", str(path)], capsys)
+        for objective in ("min", "sum", "sum-distinct")
+    )
+    assert got == BACKBONE[seed]
