@@ -8,9 +8,12 @@ strings.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 MAX_KEY_BITS = 63  # assignment keys are int64
+_EVAL_CHUNK = 1 << 16  # (key, clause) pairs per evaluate_keys step
 
 
 class ParseError(ValueError):
@@ -270,18 +273,44 @@ def evaluate(formula, z):
     return True
 
 
+def clause_masks(formula):
+    """(pos, neg), read-only int64 arrays over the clauses, built once
+    per formula: pos[c] has key bit n - v set for each literal v of
+    clause c, neg[c] for each literal -v.  Clause c holds at key x iff
+    (x & pos[c]) | (~x & neg[c]) != 0, that is (x ^ neg[c]) & (pos[c] |
+    neg[c]) != 0, as no clause holds both v and -v."""
+    masks = vars(formula).get("_clause_masks")
+    if masks is None:
+        check_key_width(formula.n)
+        sizes = np.fromiter(map(len, formula.clauses), np.intp, len(formula.clauses))
+        lits = np.fromiter(chain.from_iterable(formula.clauses), np.int64, sizes.sum())
+        clause = np.repeat(np.arange(sizes.size), sizes)
+        bit = np.int64(1) << (formula.n - np.abs(lits))
+        pos = np.zeros(sizes.size, np.int64)
+        neg = pos.copy()
+        np.bitwise_or.at(pos, clause[lits > 0], bit[lits > 0])
+        np.bitwise_or.at(neg, clause[lits < 0], bit[lits < 0])
+        pos.flags.writeable = neg.flags.writeable = False
+        masks = formula._clause_masks = (pos, neg)
+    return masks
+
+
 def evaluate_keys(formula, keys):
-    """Vectorized `evaluate` over an int64 array of assignment keys."""
+    """Vectorized `evaluate` over an int64 array of assignment keys, of
+    any shape, tested on the clause masks in chunks of about _EVAL_CHUNK
+    (key, clause) pairs."""
     keys = np.asarray(keys, dtype=np.int64)
-    ok = np.ones(keys.shape, dtype=bool)
-    n = formula.n
-    for clause in formula.clauses:
-        sat = np.zeros(keys.shape, dtype=bool)
-        for lit in clause:
-            bitval = (keys >> (n - abs(lit))) & 1
-            sat |= (bitval == 0) if lit < 0 else (bitval == 1)
-        ok &= sat
-    return ok
+    pos, neg = clause_masks(formula)
+    flat = keys.reshape(-1)
+    ok = np.ones(flat.size, dtype=bool)
+    if pos.size:
+        var = pos | neg
+        step = max(1, _EVAL_CHUNK // pos.size)
+        for lo in range(0, flat.size, step):
+            held = flat[lo : lo + step, None] ^ neg
+            held &= var
+            ok[lo : lo + step] = held.min(axis=1) != 0  # masks are >= 0
+    return ok.reshape(keys.shape)
 
 
 def solution_indicator(formula):

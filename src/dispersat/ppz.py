@@ -17,7 +17,14 @@ from itertools import chain, permutations
 
 import numpy as np
 
-from .cnf import Assignment, CapabilityError, check_key_width, condition, evaluate_keys
+from .cnf import (
+    Assignment,
+    CapabilityError,
+    check_key_width,
+    clause_masks,
+    condition,
+    evaluate_keys,
+)
 from .measures import anchor_keys_of, farthest_index
 
 _MASK64 = (1 << 64) - 1
@@ -134,6 +141,14 @@ def _open_bits():
     return bits
 
 
+def _nibble_bytes(x):
+    """uint64 words whose byte g is nibble g of the low 32 bits of x."""
+    x = x & 0xFFFFFFFF
+    x = (x | x << 16) & 0x0000FFFF0000FFFF
+    x = (x | x << 8) & 0x00FF00FF00FF00FF
+    return (x | x << 4) & 0x0F0F0F0F0F0F0F0F
+
+
 class _Engine:
     """Vectorized PPZ-Modify over batches of (y, pi) samples.
 
@@ -153,6 +168,14 @@ class _Engine:
     unit.  A step ORs v's rows over the groups and inverts them into
     unit lanes, then takes the lowest set bit, whose bit in the lane of
     `sign` says whether v is positive there: the first unit clause wins.
+
+    A clause forces only once its other literals are all set, so with w
+    the narrowest clause width no step before step w - 1 can force.
+    `run` sets those first `free_steps` = w - 1 variables (0 with an
+    empty or a unit clause, n with no clauses) to their bits of y at
+    once, and builds their code bytes from the true and false words.
+    The outputs are then tested on the formula's `clause_masks`, as
+    `evaluate_keys` tests keys.
     """
 
     def __init__(self, formula):
@@ -162,16 +185,14 @@ class _Engine:
         self.bit = np.zeros(n + 1, dtype=word)
         self.bit[1:] = np.int64(1) << at[1:]
         sizes = np.fromiter(map(len, formula.clauses), np.intp, len(formula.clauses))
+        self.free_steps = max(0, int(sizes.min(initial=n + 1)) - 1)
         lits = np.fromiter(chain.from_iterable(formula.clauses), np.int64, sizes.sum())
         clause = np.repeat(np.arange(sizes.size), sizes)
         var = np.abs(lits)
         bit = np.int64(1) << at[var]
-        pmask = np.zeros(sizes.size, np.int64)
-        nmask = pmask.copy()
-        np.add.at(pmask, clause, np.where(lits > 0, bit, 0))
-        np.add.at(nmask, clause, np.where(lits < 0, bit, 0))
-        self.pmask = pmask.astype(word)
-        self.nmask = nmask.astype(word)
+        pos, neg = clause_masks(formula)
+        self.clause_vars = (pos | neg).astype(word)[:, None]
+        self.clause_negs = neg.astype(word)[:, None]
         # literal i is column col[i] of row var[i]: v's clauses in clause order
         count = np.bincount(var, minlength=n + 1)
         order = np.argsort(var, kind="stable")
@@ -189,8 +210,8 @@ class _Engine:
         groups = -(-n // 4)
         shifts = np.arange(0, 4 * groups, 4)[:, None]
         pq = np.full((groups, n + 1, width), 255, dtype=np.uint8)  # padding: open
-        pq[:, var, col] = ((pmask[clause] & ~bit) >> shifts & 15) << 4 | (
-            (nmask[clause] & ~bit) >> shifts & 15
+        pq[:, var, col] = ((pos[clause] & ~bit) >> shifts & 15) << 4 | (
+            (neg[clause] & ~bit) >> shifts & 15
         )
         open_bits = _open_bits()
         # packed[g, v, c, s]: byte c of v's lanes in group g at state byte s
@@ -206,15 +227,26 @@ class _Engine:
             (g & 7) * 8 + (at[1:] & 3)
         ).astype(np.uint64)
 
+    def _code(self, true, false):
+        """The codes of partial assignments whose true and false
+        variables are the words `true` and `false`."""
+        code = np.empty((len(true), self.code_bit.shape[1]), dtype="<u8")
+        true, false = true.astype(np.uint64), false.astype(np.uint64)
+        for w in range(code.shape[1]):  # 8 groups, 32 key bits, per word
+            high, low = _nibble_bytes(true >> 32 * w), _nibble_bytes(false >> 32 * w)
+            code[:, w] = high << 4 | low
+        return code
+
     def run(self, ys, pis):
         """ys: (B, n) 0/1 bits, variable 1 in column 0; pis: (B, n) int64
         1-based processing orders.  Returns (int64 keys, satisfied)."""
-        b = len(ys)
         y = ys.astype(self.word) @ self.bit[1:]
-        true = np.zeros(b, dtype=self.word)
-        code = np.zeros((b, self.code_bit.shape[1]), dtype="<u8")
+        free = self.free_steps
+        assigned = np.bitwise_or.reduce(self.bit.take(pis[:, :free]), axis=1)
+        true = y & assigned
+        code = self._code(true, assigned ^ true)
         nibbles = code.view(np.uint8)[:, : len(self.offset)].T  # row g: byte g
-        for v in pis.T:
+        for v in pis[:, free:].T:
             rows = self.tables.take(nibbles + (self.offset + (v << 8)), axis=0)
             units = ~np.bitwise_or.reduce(rows, axis=0)
             signs = self.sign.take(v, axis=0)
@@ -227,8 +259,10 @@ class _Engine:
             true |= value
             set_true = (value != 0).astype(np.uint8) << np.uint8(2)
             code |= self.code_bit.take(v, axis=0) << set_true[:, None]
-        sat = (self.pmask[:, None] & true) | (self.nmask[:, None] & ~true)
-        return true.astype(np.int64), (sat != 0).all(axis=0)
+        held = true ^ self.clause_negs  # clause c holds where row c is not 0
+        held &= self.clause_vars
+        top = np.iinfo(self.word).max  # no clauses: every sample satisfies
+        return true.astype(np.int64), held.min(axis=0, initial=top) != 0
 
 
 def packed_engine(formula, cls):
@@ -314,12 +348,17 @@ def ppz_solve_counted(formula, cfg=OracleConfig()):
 def _batch_winners(formula, cfg, total, anchor_keys, reduce, reject_keys=None):
     """Keys of each batch's farthest satisfying output (see
     `farthest_index`) over `total` samples, skipping outputs whose key is
-    in reject_keys."""
+    in reject_keys, which must be distinct.  Each batch's outputs are
+    scored once per distinct key: the answer is a key, and ties go to
+    the smallest."""
     winners = []
     for keys, satisfied, _ in _batches(formula, cfg, total):
-        keys = keys[satisfied]
+        keys = np.sort(keys[satisfied])
+        distinct = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        keys = keys[distinct]
         if reject_keys is not None:
-            keys = keys[~np.isin(keys, reject_keys)]
+            keys = keys[~np.isin(keys, reject_keys, assume_unique=True)]
         if keys.size:
             winners.append(keys[farthest_index(keys, anchor_keys, reduce)])
     return np.array(winners, dtype=np.int64)
@@ -335,7 +374,7 @@ def ppz_farthest_sum(formula, anchors, cfg=OracleConfig(), exclude=False):
     """Satisfying output maximizing the distance sum to `anchors`;
     exclude=True discards outputs equal to an anchor (distinct variant)."""
     anchor_keys = anchor_keys_of(formula.n, anchors)
-    reject = np.array(anchor_keys, dtype=np.int64) if exclude else None
+    reject = np.array(sorted(set(anchor_keys)), dtype=np.int64) if exclude else None
     total = cfg.resolve(formula.n, formula.k)
     winners = _batch_winners(formula, cfg, total, anchor_keys, np.sum, reject)
     return _farthest(formula.n, winners, anchor_keys, np.sum)

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ppz
-from .cnf import Assignment, CapabilityError, check_key_width
+from .cnf import Assignment, CapabilityError, check_key_width, clause_masks
 from .measures import anchor_keys_of, farthest_index, popcount
 from .ppz import packed_engine, word_for
 
@@ -154,21 +154,21 @@ class _Walker:
     `neg` those it negates.  `lits[c, j]` is the bit of its j-th
     literal and `width[c]` its length (row m: 0).  With `rank[c] = m - c`
     in the narrowest type that holds m, the first violated clause is m
-    less the largest violated rank, m if none.  `masks` holds the
-    (var, neg) pairs as Python ints, for the scalar walker.
+    less the largest violated rank, m if none.  `var` and `neg` come
+    from `clause_masks`; `masks` holds them as Python int pairs, for the
+    scalar walker.
     """
 
     def __init__(self, formula):
         n = formula.n
         self.word = word = word_for(n)
         bits = [[1 << (n - abs(l)) for l in c] for c in formula.clauses]
-        self.masks = [
-            (sum(row), sum(b for b, l in zip(row, c) if l < 0))
-            for row, c in zip(bits, formula.clauses)
-        ]
+        pos, neg = clause_masks(formula)
+        var = pos | neg
+        self.masks = list(zip(var.tolist(), neg.tolist()))
         m = len(bits)
-        self.var = np.array([v for v, _ in self.masks], dtype=word)[:, None]
-        self.neg = np.array([g for _, g in self.masks], dtype=word)[:, None]
+        self.var = var.astype(word)[:, None]
+        self.neg = neg.astype(word)[:, None]
         self.rank = np.arange(m, 0, -1, dtype=np.min_scalar_type(m))[:, None]
         self.width = np.array([len(row) for row in bits] + [0], dtype=np.float64)
         self.lits = np.zeros((m, max(formula.k, 1)), dtype=word)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from dispersat import cnf
 from dispersat.cnf import (
     Assignment,
+    CapabilityError,
     CnfFormula,
     ParseError,
+    clause_masks,
     condition,
     evaluate,
     evaluate_keys,
@@ -180,6 +183,84 @@ class TestEvaluate:
                     any(z.bit(abs(l)) != (l < 0) for l in c) for c in f.clauses
                 )
                 assert evaluate(f, z) == expected
+
+
+def mixed_formula(rng, n, m):
+    """m clauses over n variables, of widths 0 (empty) to min(n, 6)."""
+    clauses = []
+    for _ in range(m):
+        width = rng.randint(0, min(n, 6)) if rng.random() < 0.1 else rng.randint(1, min(n, 6))
+        clauses.append([rng.choice([-1, 1]) * v for v in rng.sample(range(1, n + 1), width)])
+    return CnfFormula(n, clauses)
+
+
+def scalar_evaluate(f, keys):
+    keys = np.asarray(keys, dtype=np.int64)
+    flat = [evaluate(f, Assignment(f.n, int(key))) for key in keys.reshape(-1)]
+    return np.array(flat, dtype=bool).reshape(keys.shape)
+
+
+class TestEvaluateKeys:
+    """The clause-mask test against the scalar `evaluate`."""
+
+    def test_matches_scalar_on_mixed_widths(self):
+        rng = random.Random(23)
+        for _ in range(120):
+            n = rng.randint(1, 14)
+            f = mixed_formula(rng, n, rng.randint(0, 4 * n))
+            keys = np.array([rng.randrange(1 << n) for _ in range(rng.randint(0, 60))], np.int64)
+            got = evaluate_keys(f, keys)
+            assert got.dtype == bool and got.shape == keys.shape
+            assert (got == scalar_evaluate(f, keys)).all()
+
+    def test_empty_clause_and_empty_formula(self):
+        keys = np.arange(8, dtype=np.int64)
+        assert not evaluate_keys(CnfFormula(3, [(1, 2), ()]), keys).any()
+        assert evaluate_keys(CnfFormula(3, []), keys).all()
+        assert evaluate_keys(CnfFormula(0, []), np.zeros(3, np.int64)).tolist() == [True] * 3
+        assert evaluate_keys(CnfFormula(0, [()]), np.zeros(3, np.int64)).tolist() == [False] * 3
+        assert evaluate_keys(CnfFormula(3, [(1,)]), np.zeros(0, np.int64)).shape == (0,)
+
+    def test_top_bit_at_n63(self):
+        rng = random.Random(63)
+        planted = Assignment(63, (1 << 62) | rng.getrandbits(62))
+        f = mixed_formula(rng, 63, 80)
+        f = CnfFormula(63, [c for c in f.clauses if c and evaluate(CnfFormula(63, [c]), planted)])
+        keys = [planted.key ^ (1 << rng.randrange(63)) for _ in range(50)]
+        keys = np.array(keys + [planted.key, (1 << 63) - 1, 1 << 62], dtype=np.int64)
+        expected = scalar_evaluate(f, keys)
+        assert expected.any() and not expected.all()
+        assert (evaluate_keys(f, keys) == expected).all()
+
+    def test_keeps_the_key_shape(self):
+        rng = random.Random(5)
+        f = mixed_formula(rng, 9, 20)
+        keys = np.array([rng.randrange(1 << 9) for _ in range(60)], np.int64)
+        for shape in ((60,), (6, 10), (3, 4, 5), (60, 1)):
+            got = evaluate_keys(f, keys.reshape(shape))
+            assert got.shape == shape
+            assert (got.reshape(-1) == evaluate_keys(f, keys)).all()
+        assert evaluate_keys(f, np.int64(keys[0])).shape == ()
+        assert bool(evaluate_keys(f, np.int64(keys[0]))) == evaluate(f, Assignment(9, int(keys[0])))
+
+    @pytest.mark.parametrize("m", [1, 7, 1 << 10])
+    def test_keys_around_a_chunk_boundary(self, m):
+        rng = random.Random(m)
+        f = CnfFormula(12, [c for c in mixed_formula(rng, 12, m).clauses if c] or [(1,)])
+        step = max(1, cnf._EVAL_CHUNK // len(f.clauses))
+        for count in (step - 1, step, step + 1, 2 * step + 1):
+            keys = np.array([rng.randrange(1 << 12) for _ in range(count)], np.int64)
+            assert (evaluate_keys(f, keys) == scalar_evaluate(f, keys)).all()
+
+    def test_masks_are_built_once(self):
+        f = CnfFormula(4, [(1, -2), (-3,), (2, 3, 4)])
+        pos, neg = clause_masks(f)
+        assert clause_masks(f)[0] is pos
+        assert pos.tolist() == [0b1000, 0, 0b0111] and neg.tolist() == [0b0100, 0b0010, 0]
+        with pytest.raises(ValueError):
+            pos[0] = 1
+        with pytest.raises(CapabilityError):
+            evaluate_keys(CnfFormula(64, [(1, 64)]), [0])
 
 
 class TestCondition:

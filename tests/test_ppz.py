@@ -9,7 +9,9 @@ import pytest
 from dispersat.brute import enumerate_solutions
 from dispersat.cnf import Assignment, CapabilityError, CnfFormula, evaluate
 from dispersat.generators import planted_kcnf
+from dispersat.measures import best_index
 from dispersat.ppz import (
+    _SOLVE_CUTS,
     OracleConfig,
     PpzSample,
     _ball_masks,
@@ -208,6 +210,97 @@ class TestEngineEdges:
         assert ppz_modify(f, PpzSample(A("1"), (1,))) == A("0")
 
 
+def c09_formula(seed):
+    """An n = 8, k = 7 planted formula of the c09 family."""
+    return planted_kcnf(8, 7, 60, np.random.default_rng(seed))[0]
+
+
+# formula, and the steps before the first one any clause can force
+FREE_STEPS = {
+    "empty clause": (CnfFormula(6, [(1, -2, 3), (), (2, 4, -5), (-6, 1)]), 0),
+    "width 1": (CnfFormula(6, [(1, -2, 3), (-4,), (2, 4, -5, 6), (4, 5)]), 0),
+    "width 2": (CnfFormula(6, [(1, -2, 3), (-4, 6), (2, 4, -5, 6), (-1, -3, 5)]), 1),
+    "width k": (c09_formula(3), 6),
+    "no clauses": (CnfFormula(7, []), 7),
+}
+
+
+class TestFreeSteps:
+    """The first min-width - 1 steps copy y without a table lookup."""
+
+    @pytest.mark.parametrize("name", FREE_STEPS)
+    def test_run_matches_modify_around_the_cuts(self, name):
+        f, free = FREE_STEPS[name]
+        eng = packed_engine(f, _Engine)
+        assert eng.free_steps == free
+        n = f.n
+        rng = np.random.default_rng(len(name))
+        rows = _SOLVE_CUTS[-1] + 1
+        ys = rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
+        pis = rng.permuted(np.tile(np.arange(1, n + 1), (rows, 1)), axis=1)
+        expected = [
+            ppz_modify(f, PpzSample(Assignment.from_bits(y), tuple(pi)))
+            for y, pi in zip(ys.tolist(), pis.tolist())
+        ]
+        expected_keys = np.array([z.key for z in expected], dtype=np.int64)
+        expected_sat = np.array([evaluate(f, z) for z in expected])
+        for cut in _SOLVE_CUTS:
+            for b in (cut - 1, cut, cut + 1):
+                keys, satisfied = eng.run(ys[:b], pis[:b])
+                assert keys.dtype == np.int64
+                assert (keys == expected_keys[:b]).all()
+                assert (satisfied == expected_sat[:b]).all()
+
+    @pytest.mark.parametrize("n, width", [(33, 3), (40, 12), (63, 5), (63, 16)])
+    def test_free_steps_in_the_second_code_word(self, n, width):
+        """Above n = 32 the code has two words; free variables of either
+        are written by the bulk code build."""
+        rng = random.Random(n * width)
+        clauses = [
+            [rng.choice([-1, 1]) * v for v in rng.sample(range(1, n + 1), rng.randint(width, width + 4))]
+            for _ in range(2 * n)
+        ]
+        f = CnfFormula(n, clauses)
+        assert packed_engine(f, _Engine).free_steps == min(map(len, f.clauses)) - 1 >= width - 1
+        assert_engine_matches_modify(f, random_samples(rng, n, 30))
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 31, 32, 33, 36, 63])
+    def test_bulk_code_matches_setting_one_variable_at_a_time(self, n):
+        rng = random.Random(n)
+        eng = _Engine(random_formula(rng, n, k=3, m=n))
+        rows = 50
+        assigned = np.array([rng.getrandbits(n) for _ in range(rows)], dtype=np.uint64)
+        true = assigned & np.array([rng.getrandbits(n) for _ in range(rows)], dtype=np.uint64)
+        expected = np.zeros((rows, eng.code_bit.shape[1]), dtype="<u8")
+        for v in range(1, n + 1):
+            bit = np.uint64(1 << (n - v))
+            shift = np.where(true & bit, 4, 0).astype(np.uint64)[:, None]
+            expected |= np.where((assigned & bit)[:, None] != 0, eng.code_bit[v] << shift, 0)
+        word = eng.word
+        assert (eng._code(true.astype(word), (assigned ^ true).astype(word)) == expected).all()
+
+    def test_tau_exact_unchanged(self):
+        """tau_exact over the keys k with k mod 3 != 1, as recorded
+        before the free steps were skipped."""
+        recorded = {
+            "empty clause": Fraction(7, 8),
+            "width 1": Fraction(11, 16),
+            "width 2": Fraction(2633, 3840),
+            "width k": Fraction(2897, 4608),
+            "no clauses": Fraction(11, 16),
+        }
+        formulas = {
+            "empty clause": CnfFormula(4, [(1, -2), (), (3,)]),
+            "width 1": CnfFormula(5, [(2,), (1, -3, 4), (-1, 5)]),
+            "width 2": CnfFormula(5, [(1, -2), (2, 3, -4), (-1, 4, 5), (3, -5)]),
+            "width k": CnfFormula(6, [(1, 2, -3), (-1, 4, 5), (2, -5, 6), (-2, -4, -6), (3, 4, -6)]),
+            "no clauses": CnfFormula(4, []),
+        }
+        for name, f in formulas.items():
+            targets = [Assignment(f.n, key) for key in range(1 << f.n) if key % 3 != 1]
+            assert tau_exact(f, targets) == recorded[name], name
+
+
 class TestTauExact:
     def test_unique_solution_probability_one(self):
         f = CnfFormula(2, [(1,), (-2,)])
@@ -313,6 +406,37 @@ class TestSolve:
             OracleConfig(seed=0, effort=effort)
 
 
+def reference_farthest(f, anchors, cfg, reduce, exclude=False, ball=False):
+    """The farthest oracles per sample: every satisfying output of a
+    batch, repeats included, is scored, and `best_index` picks the batch
+    winner; ball=True adds the satisfying keys of the phase-1 balls."""
+    n = f.n
+    anchor_keys = [a.key for a in anchors]
+
+    def winner(keys):
+        scores = [reduce([(key ^ a).bit_count() for a in anchor_keys]) for key in keys]
+        return keys[best_index(scores, keys)]
+
+    hits = []
+    if ball:
+        radius = ball_radius(n, f.k)
+        hits = [
+            key
+            for a in anchor_keys
+            for key in range(1 << n)
+            if (key ^ a).bit_count() <= radius and evaluate(f, Assignment(n, key))
+        ]
+    for keys, satisfied, _ in _batches(f, cfg, cfg.resolve(n, f.k)):
+        keys = [
+            key
+            for key, ok in zip(keys.tolist(), satisfied.tolist())
+            if ok and not (exclude and key in anchor_keys)
+        ]
+        if keys:
+            hits.append(winner(keys))
+    return Assignment(n, winner(hits)) if hits else None
+
+
 class TestFarthest:
     def test_farthest_from_all_ones(self):
         f = CnfFormula(3, [(1, 2, 3)])
@@ -385,6 +509,29 @@ class TestFarthest:
             ):
                 if z is not None:
                     assert evaluate(f, z)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_oracles_match_a_per_sample_reference(self, seed):
+        rng = random.Random(seed)
+        cases = [
+            (c09_formula(seed), OracleConfig(seed=seed, effort=0.6)),  # three batches
+            (random_formula(rng, 7), OracleConfig(seed=seed, effort=0.6)),
+            (FREE_STEPS["width 2"][0], OracleConfig(seed=seed, effort=0.6)),
+            # most outputs occur once, so the winner can be a lone sample
+            (random_formula(rng, 12, m=3), OracleConfig(seed=seed, repetitions=300)),
+        ]
+        for f, cfg in cases:
+            anchors = [Assignment(f.n, rng.randrange(1 << f.n)) for _ in range(3)]
+            anchors.append(anchors[0])  # a repeated anchor
+            for count in (1, 2, 4):
+                a = anchors[:count]
+                assert ppz_farthest_sum(f, a, cfg) == reference_farthest(f, a, cfg, sum)
+                assert ppz_farthest_sum(f, a, cfg, exclude=True) == reference_farthest(
+                    f, a, cfg, sum, exclude=True
+                )
+                assert ppz_farthest_min(f, a, cfg) == reference_farthest(
+                    f, a, cfg, min, ball=True
+                )
 
     def test_anchor_length_must_match_formula(self):
         f = CnfFormula(3, [(1, 2)])
