@@ -2,12 +2,12 @@
 for every dispersion objective, exact farthest points, and Min-Ones.
 
 Everything here is exponential by design and guarded by an enumeration
-limit; the rest of the library is tested against these functions.
+limit; the rest of the library is tested against these functions.  All
+of it reads the ascending solution keys `solution_keys` caches on the
+formula, and the dispersion optima come from one tuple search.
 """
 
 from __future__ import annotations
-
-from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -20,29 +20,35 @@ from .cnf import (
     rotate,
     solution_indicator,
 )
-from .measures import DispersionObjective, NO_WEIGHT, SolutionCollection, popcount
+from .measures import DispersionObjective, NO_WEIGHT, SolutionCollection, WeightKind
+from .measures import anchor_keys_of, best_index, farthest_index, popcount
 
 ENUMERATION_LIMIT = 24  # 16M assignments; `enumerate --limit` may raise it
+CLIQUE_BLOCK_LIMIT = 1 << 24  # int64 entries of a distance or part-pair block
 
 
 def solution_keys(formula, limit=None):
-    """Keys of all satisfying assignments, ascending, as an int64 array."""
+    """Keys of all satisfying assignments, ascending, as a read-only
+    int64 array built once per formula; `limit` (ENUMERATION_LIMIT by
+    default) is checked on every call."""
     limit = ENUMERATION_LIMIT if limit is None else limit
-    n = formula.n
-    if n > limit:
+    if formula.n > limit:
         raise CapabilityError(
-            f"n={n} exceeds enumeration limit {limit}; only `enumerate --limit` "
-            "can raise it"
+            f"n={formula.n} exceeds enumeration limit {limit}; only "
+            "`enumerate --limit` can raise it"
         )
-    return np.flatnonzero(solution_indicator(formula))
+    keys = vars(formula).get("_solution_keys")
+    if keys is None:
+        keys = np.flatnonzero(solution_indicator(formula)).astype(np.int64, copy=False)
+        keys.flags.writeable = False
+        formula._solution_keys = keys
+    return keys
 
 
 def enumerate_solutions(formula, limit=None):
     """All satisfying assignments in lexicographic order."""
     keys = solution_keys(formula, limit).tolist()
-    return SolutionCollection(
-        [Assignment(formula.n, key) for key in keys], distinct=True
-    )
+    return SolutionCollection([Assignment(formula.n, key) for key in keys])
 
 
 def distance_matrix(keys):
@@ -51,74 +57,39 @@ def distance_matrix(keys):
     return popcount(keys[:, None] ^ keys[None, :])
 
 
-def _filter_weight(solutions, weight):
-    return [z for z in solutions if weight.admits(z)]
+def _best_tuple(dmat, s, fold, repeat):
+    """(value, index tuple) of the s-tuple whose pairwise distances in
+    `dmat`, folded by `fold` (np.minimum or np.add), are largest; the
+    tuples run in combinations order, combinations_with_replacement
+    order when `repeat`, and the first maximiser wins.  A prefix carries
+    its folded pair value and `reach`, its folded distances to each point
+    from `lo` on, so the last level is one argmax over the tail.  Under
+    np.minimum a prefix no better than the best found is skipped, and the
+    identity is the largest distance, which no s-set's minimum beats, so
+    reaching it ends the search."""
+    m, step, prune = len(dmat), int(not repeat), fold is np.minimum
+    best = [-1, None]
 
+    def extend(prefix, value, reach, lo):
+        if len(prefix) == s - 1:
+            tail = fold(reach, value)
+            k = int(np.argmax(tail))
+            if tail[k] > best[0]:
+                best[:] = int(tail[k]), (*prefix, lo + k)
+            return
+        # values[j]: the prefix extended by point lo + j, leaving room after it
+        values = fold(reach[: m - (s - len(prefix) - 1) * step - lo], value)
+        order = np.flatnonzero(values > best[0]) if prune else range(len(values))
+        for j in order:
+            if prune and values[j] <= best[0]:
+                continue  # the best rose since `order` was taken
+            nxt = lo + j + step
+            moved = fold(reach[j + step :], dmat[lo + j, nxt:])
+            extend((*prefix, lo + j), values[j], moved, nxt)
 
-def _best_min_pd_sets(keys, dmat, s):
-    """(value, index tuple) of the max-minPD s-subset; lexicographic
-    first among maximizers.  Indices refer to the (sorted) `keys`."""
-    m = len(keys)
-    if s == 2:
-        flat = int(np.argmax(dmat))
-        i, j = divmod(flat, m)
-        if i == j:  # all distances 0 can't happen for distinct points
-            i, j = 0, 1
-        return int(dmat[i, j]), (min(i, j), max(i, j))
-    best_val = -1
-    best_idx = None
-    if s == 3:
-        for i in range(m - 2):
-            for j in range(i + 1, m - 1):
-                dij = dmat[i, j]
-                if dij <= best_val:
-                    continue
-                tail = np.minimum(dmat[i, j + 1 :], dmat[j, j + 1 :])
-                np.minimum(tail, dij, out=tail)
-                k_rel = int(np.argmax(tail))
-                if tail[k_rel] > best_val:
-                    best_val = int(tail[k_rel])
-                    best_idx = (i, j, j + 1 + k_rel)
-        return best_val, best_idx
-    if s == 4:
-        for i in range(m - 3):
-            for j in range(i + 1, m - 2):
-                dij = int(dmat[i, j])
-                if dij <= best_val:
-                    continue
-                w = np.minimum(dmat[i], dmat[j])
-                for k in range(j + 1, m - 1):
-                    cap = min(dij, int(w[k]))
-                    if cap <= best_val:
-                        continue
-                    tail = np.minimum(w[k + 1 :], dmat[k, k + 1 :])
-                    np.minimum(tail, cap, out=tail)
-                    l_rel = int(np.argmax(tail))
-                    if tail[l_rel] > best_val:
-                        best_val = int(tail[l_rel])
-                        best_idx = (i, j, k, k + 1 + l_rel)
-        return best_val, best_idx
-    for idx in combinations(range(m), s):
-        val = min(dmat[a, b] for a, b in combinations(idx, 2))
-        if val > best_val:
-            best_val = int(val)
-            best_idx = idx
-    return best_val, best_idx
-
-
-def _best_sum_pd(dmat, s, with_replacement):
-    m = dmat.shape[0]
-    gen = combinations_with_replacement if with_replacement else combinations
-    best_val = -1
-    best_idx = None
-    for idx in gen(range(m), s):
-        val = 0
-        for a, b in combinations(idx, 2):
-            val += dmat[a, b]
-        if val > best_val:
-            best_val = int(val)
-            best_idx = idx
-    return best_val, best_idx
+    identity = int(dmat.max()) if prune else 0
+    extend((), identity, np.full(m, identity, dtype=np.int64), 0)
+    return tuple(best)
 
 
 def brute_opt(formula, s, objective, weight=NO_WEIGHT):
@@ -126,63 +97,65 @@ def brute_opt(formula, s, objective, weight=NO_WEIGHT):
 
     MIN_PD and SUM_PD_DISTINCT range over sets, SUM_PD over multisets;
     ties are broken lexicographically on the sorted witness.  Returns
-    (value, SolutionCollection).
+    (value, SolutionCollection).  More than CLIQUE_BLOCK_LIMIT pool x
+    pool distances are refused before the matrix is built.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    solutions = enumerate_solutions(formula).members
-    if not solutions:
+    pool = solution_keys(formula)
+    if not pool.size:
         raise UnsatError("formula has no satisfying assignment")
-    pool = _filter_weight(solutions, weight)
-    if objective.distinct and len(pool) < s:
-        raise InfeasibleError(
-            f"only {len(pool)} qualifying solutions, need a set of {s}"
-        )
-    if not pool:
+    if weight.kind is not WeightKind.NONE:
+        ones, at_least = popcount(pool), weight.kind is WeightKind.AT_LEAST
+        pool = pool[ones >= weight.w if at_least else ones <= weight.w]
+    m = pool.size
+    if objective.distinct and m < s:
+        raise InfeasibleError(f"only {m} qualifying solutions, need a set of {s}")
+    if not m:
         raise InfeasibleError("no solution meets the weight constraint")
+    minimum = objective is DispersionObjective.MIN_PD
     if s == 1:
-        witness = SolutionCollection([pool[0]], distinct=True)
-        if objective is DispersionObjective.MIN_PD:
-            return formula.n + 1, witness
-        return 0, witness
-    keys = np.array([z.key for z in pool], dtype=np.int64)
-    dmat = distance_matrix(keys)
-    if objective is DispersionObjective.MIN_PD:
-        val, idx = _best_min_pd_sets(keys, dmat, s)
-    elif objective is DispersionObjective.SUM_PD:
-        val, idx = _best_sum_pd(dmat, s, with_replacement=True)
+        value, idx = (formula.n + 1 if minimum else 0), (0,)
+    elif m * m > CLIQUE_BLOCK_LIMIT:
+        raise CapabilityError(
+            f"{m} qualifying solutions: {m * m} pairwise distances exceed "
+            f"the limit {CLIQUE_BLOCK_LIMIT}"
+        )
     else:
-        val, idx = _best_sum_pd(dmat, s, with_replacement=False)
-    return val, SolutionCollection([pool[i] for i in idx], objective.distinct)
+        fold = np.minimum if minimum else np.add
+        value, idx = _best_tuple(distance_matrix(pool), s, fold, not objective.distinct)
+    members = [Assignment(formula.n, key) for key in pool[list(idx)].tolist()]
+    return value, SolutionCollection(members, objective.distinct or s == 1)
+
+
+def _farthest(formula, anchors, reduce, exclude=False):
+    """farthest_index's answer among the solutions, or None if there is none."""
+    keys = solution_keys(formula)
+    anchor_keys = anchor_keys_of(formula.n, anchors)
+    keys = np.setdiff1d(keys, anchor_keys) if exclude else keys
+    if not keys.size:
+        return None
+    return Assignment(formula.n, int(keys[farthest_index(keys, anchor_keys, reduce)]))
 
 
 def farthest_min(formula, anchors):
     """Exact farthest point by min-distance: the satisfying assignment
     maximizing min-d_H(anchors, .); lexicographically smallest argmax."""
-    return max(
-        enumerate_solutions(formula).members,
-        key=lambda z: min(z.distance(a) for a in anchors),
-        default=None,
-    )
+    return _farthest(formula, anchors, np.min)
 
 
 def farthest_sum(formula, anchors, exclude=False):
     """Exact farthest point by sum-distance; exclude=True skips points
     equal to an anchor."""
-    banned = set(anchors) if exclude else ()
-    return max(
-        (z for z in enumerate_solutions(formula) if z not in banned),
-        key=lambda z: sum(z.distance(a) for a in anchors),
-        default=None,
-    )
+    return _farthest(formula, anchors, np.sum, exclude)
 
 
 def min_ones_brute(formula):
     """A minimum-Hamming-weight solution (lexicographically smallest on ties)."""
-    solutions = enumerate_solutions(formula).members
-    if not solutions:
+    keys = solution_keys(formula)
+    if not keys.size:
         raise UnsatError("formula has no satisfying assignment")
-    return min(solutions, key=lambda z: (z.weight(), z.key))
+    return Assignment(formula.n, int(keys[best_index(-popcount(keys), keys)]))
 
 
 def diameter_via_min_ones(formula):
@@ -192,11 +165,8 @@ def diameter_via_min_ones(formula):
     all-ones point, solves Min-Ones there, and maps back.  The returned
     pair is guaranteed to span at least half the true diameter.
     """
-    solutions = enumerate_solutions(formula).members
-    if not solutions:
+    keys = solution_keys(formula)
+    if not keys.size:
         raise UnsatError("formula has no satisfying assignment")
-    alpha = solutions[0]
-    rotated = rotate(formula, alpha)
-    beta_rot = min_ones_brute(rotated)
-    beta = beta_rot ^ alpha.complement()
-    return alpha, beta
+    alpha = Assignment(formula.n, int(keys[0]))
+    return alpha, min_ones_brute(rotate(formula, alpha)) ^ alpha.complement()

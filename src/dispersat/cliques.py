@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .brute import distance_matrix
+from .brute import CLIQUE_BLOCK_LIMIT, distance_matrix
 from .cnf import CapabilityError, InfeasibleError
 from .measures import (
     SolutionCollection,
@@ -24,7 +24,6 @@ from .measures import (
     sum_pairwise_distance,
 )
 
-CLIQUE_BLOCK_LIMIT = 1 << 24  # int64 entries of one part-pair block
 _NEG = -(10**12)  # a point paired with itself; dominates any distance sum
 _PAIRS = ((0, 1), (0, 2), (1, 2))  # the part pairs of blocks 12, 13, 23
 

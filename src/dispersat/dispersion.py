@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brute import enumerate_solutions, farthest_min, farthest_sum
+from .brute import farthest_min, farthest_sum, solution_keys
 from .cnf import (
     Assignment,
     InfeasibleError,
@@ -120,7 +120,11 @@ def schoning_weighted_min_oracle(plan, cfg, w, kind=WeightKind.AT_LEAST):
 
 
 def exact_seeder():
-    return lambda formula: next(iter(enumerate_solutions(formula)), None)
+    def seed(formula):
+        keys = solution_keys(formula)[:1].tolist()
+        return Assignment(formula.n, keys[0]) if keys else None
+
+    return seed
 
 
 def ppz_seeder(cfg):

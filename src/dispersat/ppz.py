@@ -40,9 +40,9 @@ TAU_LIMIT = 7
 class OracleConfig:
     """Randomness and budget knobs for the randomized oracles.
 
-    repetitions=None resolves to ceil(effort * 4 n^2 * growth), capped by
-    HARD_REPETITION_CAP; growth is 2^(n - n/k) for PPZ, whose budget is
-    refused, not cut, above the cap.
+    repetitions=None resolves to ceil(effort * 4 n^2 * growth), where
+    growth is 2^(n - n/k) for PPZ; a count above HARD_REPETITION_CAP is
+    refused, not cut.
     """
 
     seed: int = 0
@@ -54,27 +54,23 @@ class OracleConfig:
             raise ValueError(f"effort must be finite and > 0, got {self.effort}")
 
     def resolve(self, n, k):
-        """The PPZ sample budget; CapabilityError when HARD_REPETITION_CAP
-        would cut the count asked for, automatic or set."""
-        growth = 2 ** (n - n / max(k, 1))
-        total = self.budget(n, growth)
-        asked = self.repetitions or math.ceil(self.effort * 4 * n * n * growth)
-        if total < asked:
+        """The PPZ sample budget, refused above HARD_REPETITION_CAP."""
+        return self.budget(n, 2 ** (n - n / max(k, 1)), "PPZ budget of {} samples")
+
+    def budget(self, n, growth, label="Schoening budget of {} restarts"):
+        """Repetitions of a search expected to need about 4 n^2 growth
+        tries: `repetitions` if set, else that count scaled by `effort`;
+        CapabilityError, naming the count by `label`, when
+        HARD_REPETITION_CAP would cut it."""
+        if self.repetitions is not None and self.repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
+        asked = self.repetitions or max(1, math.ceil(self.effort * 4 * n * n * growth))
+        if asked > HARD_REPETITION_CAP:
             raise CapabilityError(
-                f"PPZ budget of {asked} samples (n={n}) is above the cap of "
+                f"{label.format(asked)} (n={n}) is above the cap of "
                 f"{HARD_REPETITION_CAP}"
             )
-        return total
-
-    def budget(self, n, growth):
-        """Repetitions of a search expected to need about 4 n^2 growth
-        tries: `repetitions` if set, else that count scaled by `effort`."""
-        if self.repetitions is not None:
-            if self.repetitions < 1:
-                raise ValueError("repetitions must be >= 1")
-            return min(self.repetitions, HARD_REPETITION_CAP)
-        auto = math.ceil(self.effort * 4 * n * n * growth)
-        return max(1, min(auto, HARD_REPETITION_CAP))
+        return asked
 
     def seed_sequence(self, *salt):
         """The seeded stream named by `salt`: the one way every seeded

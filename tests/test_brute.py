@@ -11,6 +11,7 @@ from dispersat.brute import (
     farthest_min,
     farthest_sum,
     min_ones_brute,
+    solution_keys,
 )
 from dispersat.cnf import (
     Assignment,
@@ -42,6 +43,19 @@ def random_formula(rng, n, k=3, m=None):
     return CnfFormula(n, clauses)
 
 
+def naive_first(sols, s, objective):
+    """(value, tuple) of the first maximiser over the s-subsets (s-multisets
+    for SUM_PD) of the ascending `sols`, in itertools order."""
+    gen = combinations if objective.distinct else combinations_with_replacement
+    fold = min if objective is DispersionObjective.MIN_PD else sum
+    best = (-1, None)
+    for c in gen(sols, s):
+        val = fold(a.distance(b) for a, b in combinations(c, 2))
+        if val > best[0]:
+            best = (val, c)
+    return best
+
+
 class TestEnumerate:
     def test_or_clause(self):
         sols = enumerate_solutions(CnfFormula(2, [(1, 2)]))
@@ -69,6 +83,19 @@ class TestEnumerate:
     def test_limit_guard(self):
         with pytest.raises(CapabilityError):
             enumerate_solutions(CnfFormula(30, []), limit=24)
+
+    def test_keys_cached_read_only_and_limit_checked_each_call(self):
+        f = CnfFormula(5, [(1, 2), (-3, 4)])
+        keys = solution_keys(f)
+        assert solution_keys(f) is keys
+        assert not keys.flags.writeable
+        with pytest.raises(ValueError):
+            keys[0] = 0
+        assert [z.key for z in enumerate_solutions(f)] == keys.tolist()
+        with pytest.raises(CapabilityError, match="n=5 exceeds enumeration limit 4"):
+            solution_keys(f, limit=4)
+        with pytest.raises(CapabilityError, match="n=5 exceeds enumeration limit 4"):
+            enumerate_solutions(f, limit=4)
 
 
 class TestBruteOpt:
@@ -121,27 +148,23 @@ class TestBruteOpt:
             for s in (2, 3):
                 # naive min over sets
                 if len(sols) >= s:
-                    naive = max(
-                        min(a.distance(b) for a, b in combinations(c, 2))
-                        for c in combinations(sols, s)
-                    )
+                    naive, first = naive_first(sols, s, DispersionObjective.MIN_PD)
                     val, wit = brute_opt(f, s, DispersionObjective.MIN_PD)
                     assert val == naive
+                    assert wit.members == first
                     assert min_pairwise_distance(wit) == val
-                    naive_sum_ne = max(
-                        sum(a.distance(b) for a, b in combinations(c, 2))
-                        for c in combinations(sols, s)
+                    naive_sum_ne, first_ne = naive_first(
+                        sols, s, DispersionObjective.SUM_PD_DISTINCT
                     )
-                    val_ne, _ = brute_opt(
+                    val_ne, wit_ne = brute_opt(
                         f, s, DispersionObjective.SUM_PD_DISTINCT
                     )
                     assert val_ne == naive_sum_ne
-                naive_sum = max(
-                    sum(a.distance(b) for a, b in combinations(c, 2))
-                    for c in combinations_with_replacement(sols, s)
-                )
+                    assert wit_ne.members == first_ne
+                naive_sum, first_sum = naive_first(sols, s, DispersionObjective.SUM_PD)
                 val_s, wit_s = brute_opt(f, s, DispersionObjective.SUM_PD)
                 assert val_s == naive_sum
+                assert wit_s.members == first_sum
                 assert sum_pairwise_distance(wit_s) == val_s
 
     def test_min_pd_s4_matches_naive(self):
@@ -152,13 +175,35 @@ class TestBruteOpt:
             sols = enumerate_solutions(f).members
             if len(sols) < 4:
                 continue
-            naive = max(
-                min(a.distance(b) for a, b in combinations(c, 2))
-                for c in combinations(sols, 4)
-            )
+            naive, first = naive_first(sols, 4, DispersionObjective.MIN_PD)
             val, wit = brute_opt(f, 4, DispersionObjective.MIN_PD)
             assert val == naive
+            assert wit.members == first
             assert min_pairwise_distance(wit) == val
+
+    @pytest.mark.parametrize("objective", list(DispersionObjective))
+    def test_first_naive_maximiser_under_ties(self, objective):
+        """On n <= 4 many tuples tie; the witness is the first maximiser
+        in itertools order for every s = 2..5 and weight bound."""
+        rng = random.Random(41)
+        weights = [
+            WeightConstraint(),
+            WeightConstraint(WeightKind.AT_LEAST, 2),
+            WeightConstraint(WeightKind.AT_MOST, 2),
+        ]
+        checked = 0
+        for _ in range(30):
+            n = rng.randint(2, 4)
+            f = random_formula(rng, n, k=rng.randint(1, 3), m=rng.randint(0, n))
+            for weight in weights:
+                pool = [z for z in enumerate_solutions(f) if weight.admits(z)]
+                for s in range(2, 6):
+                    if not pool or (objective.distinct and len(pool) < s):
+                        continue
+                    val, wit = brute_opt(f, s, objective, weight)
+                    assert (val, wit.members) == naive_first(pool, s, objective)
+                    checked += 1
+        assert checked > 100
 
 
 class TestFarthest:

@@ -253,6 +253,56 @@ class TestTooLarge:
         assert data["status"] == "TOO_LARGE"
         assert "level 21 would hold 2097152 nodes, above the cap" in data["message"]
 
+    def test_schoening_seed_solve_above_cap(self, tmp_path, capsys):
+        """At n=26, k=4 the anchored search plans under the cap but the
+        seed solve asks for more restarts than it allows: refused at
+        once, where the restarts used to be cut to the cap."""
+        formula, _ = planted_kcnf(26, 4, 100, np.random.default_rng(0))
+        path = tmp_path / "n26.cnf"
+        path.write_text(formula.to_dimacs())
+        started = time.perf_counter()
+        code = run(["diameter", "--algo", "schoening", str(path)])
+        data = capture(capsys)
+        assert time.perf_counter() - started < 1
+        assert code == 1
+        assert data["status"] == "TOO_LARGE"
+        assert data["message"] == (
+            "Schoening budget of 102418739 restarts (n=26) is above the cap of "
+            f"{1 << 26}"
+        )
+
+    def test_exact_disperse_pool_refused_under_a_memory_cap(self, tmp_path):
+        """2^16 solutions would need a 2^32-entry distance matrix (32 GiB):
+        refused from the pool size, so a child whose address space is
+        capped at 3 GB still prints its report."""
+        pytest.importorskip("resource")
+        path = tmp_path / "free16.cnf"
+        path.write_text("p cnf 16 0\n")
+        src = str(Path(dispersat.__file__).resolve().parents[1])
+        cap = 3 * 10**9
+        child = (
+            "import resource, runpy, sys; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+            "runpy.run_module('dispersat.cli', run_name='__main__')"
+        )
+        argv = ["disperse", "--s", "2", "--algo", "exact", str(path)]
+        started = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-c", child, *argv],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            timeout=120,
+        )
+        assert time.perf_counter() - started < 5
+        assert done.returncode == 1, done.stderr
+        data = json.loads(done.stdout)
+        assert data["status"] == "TOO_LARGE"
+        assert data["message"] == (
+            "65536 qualifying solutions: 4294967296 pairwise distances exceed "
+            "the limit 16777216"
+        )
+
 
 class TestEffort:
     """--effort must be finite and positive: an infinite one ended in an

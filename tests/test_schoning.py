@@ -460,10 +460,16 @@ class TestSolve:
                 ):
                     _, used = schoning_solve_counted(f, cfg)
                     assert used == self._old_budget(n, f.k, cfg)
+        # a count the cap would cut is refused before any walk, not cut
         monkeypatch.setattr(ppz, "HARD_REPETITION_CAP", 30)
         f = CnfFormula(12, [(1, 2, 3)])
-        for cfg in (OracleConfig(effort=1.0), OracleConfig(repetitions=1000)):
-            assert schoning_solve_counted(f, cfg) == (None, 30)
+        for cfg, asked in (
+            (OracleConfig(effort=1.0), 18184),
+            (OracleConfig(repetitions=1000), 1000),
+        ):
+            message = rf"^Schoening budget of {asked} restarts \(n=12\) is above"
+            with pytest.raises(CapabilityError, match=message + " the cap of 30$"):
+                schoning_solve_counted(f, cfg)
 
     def test_budget_over_the_key_range(self):
         for n in range(1, 64):
@@ -471,7 +477,12 @@ class TestSolve:
                 for effort in (1e-9, 1e-3, 0.1, 0.5, 1.0, 3.0):
                     cfg = OracleConfig(effort=effort)
                     growth = (2 * (1 - 1 / max(k, 2))) ** n
-                    assert cfg.budget(n, growth) == self._old_budget(n, k, cfg)
+                    asked = max(1, math.ceil(effort * 4 * n * n * growth))
+                    if asked > ppz.HARD_REPETITION_CAP:
+                        with pytest.raises(CapabilityError, match=f"{asked} restarts"):
+                            cfg.budget(n, growth)
+                    else:
+                        assert cfg.budget(n, growth) == self._old_budget(n, k, cfg)
 
     def test_zero_repetitions_rejected(self):
         f = CnfFormula(3, [(1, 2)])
