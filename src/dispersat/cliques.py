@@ -42,9 +42,9 @@ class TupleGraph:
 def triangle_detect(graph):
     """First triangle (i, j, k) of part indices in row-major order, or None.
 
-    Uses the path-count matrix product: (A12 . A23) intersected with A13.
-    """
-    paths = graph.a12.astype(np.int64) @ graph.a23.astype(np.int64)
+    Uses the path-count matrix product: (A12 . A23) intersected with A13,
+    in float32 for BLAS; a sum of 0/1 terms is positive as in integers."""
+    paths = graph.a12.astype(np.float32) @ graph.a23.astype(np.float32)
     hits = (paths > 0) & graph.a13
     if not hits.any():
         return None

@@ -26,10 +26,12 @@ from .measures import (
 )
 from .ppz import ppz_farthest_min, ppz_farthest_sum, ppz_solve
 from .schoning import (
+    _walk_search,
+    anchored_farthest_min,
     schoning_farthest_sum,
     schoning_farthest_weighted,
     schoning_solve_counted,
-    schoning_weight_sweep,
+    weight_window,
 )
 
 MAX_RETRY_FACTOR = 3  # duplicate-rejection retries per insertion: 3 * s
@@ -90,27 +92,41 @@ def schoning_sum_oracle(plan, cfg):
     )
 
 
+def _target_window(delta, n, w, at_least):
+    """The union of weight_window(delta, W') over the targets W' =
+    max(W, 1)..n (at-least) or 1..W (at-most), None without targets.
+    Both ends of a window rise with W' and each window holds W', so the
+    union runs from the first target's low end to the last's high end."""
+    first, last = (max(w, 1), n) if at_least else (1, w)
+    if last > n:
+        raise ValueError("W must lie in 0..n")
+    if first > last:
+        return None
+    return weight_window(delta, first)[0], weight_window(delta, last)[1]
+
+
 def schoning_weighted_min_oracle(plan, cfg, w, kind=WeightKind.AT_LEAST):
     """Min-flavored oracle over weight-constrained solutions.
 
-    Sweeps the exact-weight target W' over W..n (at-least) or 1..W
-    (at-most) in one pass and keeps the best answer, so every output
-    weight stays within the (1 -+ delta) window of the bound.
-    The all-zeros assignment, whose exact-weight window degenerates, is
-    tried directly in the at-most sweep.
+    The exact-weight targets W' are W..n (at-least) or 1..W (at-most).
+    Every target's anchored search has the same centers, schedule and
+    plan, so one search on one stream per call keeps the farthest hit in
+    the union of the targets' (1 -+ delta) windows.  The all-zeros
+    assignment, whose exact-weight window degenerates, is tried directly
+    in the at-most sweep.
     """
     at_least = kind is WeightKind.AT_LEAST
 
     def fn(formula, anchors, salt):
         n = formula.n
-        targets = range(max(w, 1), n + 1) if at_least else range(1, w + 1)
-        cfgs = {wp: cfg.spawn(1, wp, *salt) for wp in targets}
-        out = schoning_weight_sweep(formula, anchors, plan, cfgs) if cfgs else None
+        window = _target_window(plan.delta, n, w, at_least)
+        out = None
+        if window is not None:
+            search, stream = _walk_search(formula, plan), cfg.spawn(1, *salt)
+            out = anchored_farthest_min(n, anchors, plan, stream, window, search)
         candidates = [] if out is None else [out]
-        if not at_least:
-            zero = Assignment.zeros(n)
-            if evaluate(formula, zero):
-                candidates.append(zero)
+        if not at_least and evaluate(formula, Assignment.zeros(n)):
+            candidates.append(Assignment.zeros(n))
         if not candidates:
             return None
         keys = [z.key for z in candidates]

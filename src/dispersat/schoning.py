@@ -405,26 +405,21 @@ def _walk_search(formula, plan):
     return search
 
 
-def _anchored_argmax(n, plan, runs, centers, r_first, search, anchor_keys, reduce):
-    """The anchored search over every (cfg, window) of `runs`, which
-    share one effort: of the hits of `search(keys, t, blocks)` -> (out
-    keys, hit) whose weight lies in their run's window, the farthest
-    from `anchor_keys` by `reduce` (see farthest_index), even at 0.
+def _anchored_argmax(n, plan, cfg, window, centers, r_first, search, anchors, reduce):
+    """The anchored search: of the hits of `search(keys, t, blocks)` ->
+    (out keys, hit) whose weight lies in `window`, the farthest from the
+    keys `anchors` by `reduce` (see farthest_index), even at 0.
 
-    Seed format 2: a run's (r, center, repetition) tasks, in that order,
-    are cut into blocks of _TASK_BLOCK.  Block b draws from one generator
+    Seed format 2: the (r, center, repetition) tasks, in that order, are
+    cut into blocks of _TASK_BLOCK.  Block b draws from one generator
     seeded by cfg.seed_sequence(b): its starts (see _annulus_keys), then
     what the search draws from its (generator, rows) pair.  Whole blocks
-    of all runs are grouped up to _GROUP_WALKS planned walks, and a group
-    is sampled, searched, filtered and reduced at once."""
+    are grouped up to _GROUP_WALKS planned walks, and a group is sampled,
+    searched, filtered and reduced at once."""
     if plan.n != n:
         raise ValueError(f"the plan is for n={plan.n}, the search for n={n}")
-    efforts = {cfg.effort for cfg, _ in runs}
-    if len(efforts) != 1:
-        raise ValueError("the runs of an anchored search must share one effort")
-    (effort,) = efforts
-    anchored_walks(plan, effort, len(centers), r_first)
-    sched = _schedule(plan, effort, r_first)
+    anchored_walks(plan, cfg.effort, len(centers), r_first)
+    sched = _schedule(plan, cfg.effort, r_first)
     if not sched:
         return None
     r, t, reps = (np.array(col, dtype=np.int64) for col in zip(*sched))
@@ -434,44 +429,38 @@ def _anchored_argmax(n, plan, runs, centers, r_first, search, anchor_keys, reduc
     per_task = _walk_tables(plan)[0][t]
     walk_ends = np.cumsum(counts * per_task)
     centers = np.array(centers, dtype=np.int64)
-    windows = np.array([window for _, window in runs], dtype=np.int64)
 
     def walks_to(i):  # planned walks of tasks 0..i-1
         row = int(np.searchsorted(ends, i))
         return int(walk_ends[row] - (ends[row] - i) * per_task[row])
 
-    def groups():
-        group, size, tasks = [], 0, int(ends[-1])
-        for j, a in itertools.product(range(len(runs)), range(0, tasks, _TASK_BLOCK)):
-            b = min(a + _TASK_BLOCK, tasks)
-            walks = walks_to(b) - walks_to(a)
-            if group and size + walks > _GROUP_WALKS:
-                yield group
-                group, size = [], 0
-            group.append((j, a, b))
-            size += walks
-        yield group
+    def groups():  # task ranges of whole blocks
+        first, tasks = 0, int(ends[-1])
+        for a in range(_TASK_BLOCK, tasks, _TASK_BLOCK):
+            if walks_to(min(a + _TASK_BLOCK, tasks)) - walks_to(first) > _GROUP_WALKS:
+                yield first, a
+                first = a
+        yield first, tasks
 
     winners = []
-    for group in groups():
-        task = np.concatenate([np.arange(a, b) for _, a, b in group])
+    for first, last in groups():
+        task = np.arange(first, last)
         row = np.searchsorted(ends, task, side="right")
         center = (task - ends[row] + counts[row]) // reps[row]
+        cuts = [*range(first, last, _TASK_BLOCK), last]
         blocks = [
-            (np.random.default_rng(runs[j][0].seed_sequence(a // _TASK_BLOCK)), b - a)
-            for j, a, b in group
+            (np.random.default_rng(cfg.seed_sequence(a // _TASK_BLOCK)), b - a)
+            for a, b in zip(cuts, cuts[1:])
         ]
         keys = _annulus_keys(blocks, n, centers[center], lo[row], hi[row])
         out, hit = search(keys, t[row], blocks)
-        run = np.repeat([j for j, _, _ in group], [b - a for _, a, b in group])
-        window = windows[run]
         weight = popcount(out)
-        out = out[hit & (window[:, 0] <= weight) & (weight <= window[:, 1])]
+        out = out[hit & (window[0] <= weight) & (weight <= window[1])]
         if out.size:
-            winners.append(out[farthest_index(out, anchor_keys, reduce)])
+            winners.append(out[farthest_index(out, anchors, reduce)])
     if not winners:
         return None
-    return Assignment(n, int(winners[farthest_index(winners, anchor_keys, reduce)]))
+    return Assignment(n, int(winners[farthest_index(winners, anchors, reduce)]))
 
 
 def weight_window(delta, w):
@@ -479,33 +468,27 @@ def weight_window(delta, w):
     return math.ceil((1 - delta) * w), math.floor((1 + delta) * w)
 
 
-def anchored_farthest_min(n, anchors, plan, runs, search):
+def anchored_farthest_min(n, anchors, plan, cfg, window, search):
     """Best output of the block search `search` by min-distance to
-    `anchors` over the (cfg, window) `runs` (see _anchored_argmax).
+    `anchors` among the hits whose weight lies in `window`, on the
+    stream of `cfg` (see _anchored_argmax).
 
     Starts are drawn around every anchor and around the all-zeros point;
     the latter is what ties output weight to the window.
     """
     keys = anchor_keys_of(n, anchors)
-    return _anchored_argmax(n, plan, runs, keys + [0], 1, search, keys, np.min)
-
-
-def schoning_weight_sweep(formula, anchors, plan, cfgs):
-    """The best by min-distance to `anchors`, ties to the smallest key, of
-    schoning_farthest_weighted(formula, anchors, W, plan, cfgs[W]) over
-    the targets W of `cfgs`, found in one pass."""
-    n = formula.n
-    if not all(0 <= w <= n for w in cfgs):
-        raise ValueError("W must lie in 0..n")
-    windows = [(0, n) if w == 0 else weight_window(plan.delta, w) for w in cfgs]
-    runs = list(zip(cfgs.values(), windows))
-    return anchored_farthest_min(n, anchors, plan, runs, _walk_search(formula, plan))
+    return _anchored_argmax(n, plan, cfg, window, keys + [0], 1, search, keys, np.min)
 
 
 def schoning_farthest_weighted(formula, anchors, w, plan, cfg):
     """Best satisfying output by min-distance to `anchors` whose weight
     lies in [(1-delta) W, (1+delta) W]; W=0 means no weight window."""
-    return schoning_weight_sweep(formula, anchors, plan, {w: cfg})
+    n = formula.n
+    if not 0 <= w <= n:
+        raise ValueError("W must lie in 0..n")
+    window = (0, n) if w == 0 else weight_window(plan.delta, w)
+    search = _walk_search(formula, plan)
+    return anchored_farthest_min(n, anchors, plan, cfg, window, search)
 
 
 def schoning_farthest_sum(formula, anchors, plan, cfg):
@@ -513,7 +496,7 @@ def schoning_farthest_sum(formula, anchors, plan, cfg):
     n = formula.n
     keys = anchor_keys_of(n, anchors)
     search = _walk_search(formula, plan)
-    return _anchored_argmax(n, plan, [(cfg, (0, n))], keys, 0, search, keys, np.sum)
+    return _anchored_argmax(n, plan, cfg, (0, n), keys, 0, search, keys, np.sum)
 
 
 def schoning_solve_counted(formula, cfg):

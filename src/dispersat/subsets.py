@@ -227,8 +227,8 @@ def diverse_min(family, s, delta, cfg):
     search = _extension_search(formula)
 
     def fn(formula, anchors, salt):
-        runs = [(cfg.spawn(2, *salt), window)]
-        return anchored_farthest_min(n, anchors, plan, runs, search)
+        stream = cfg.spawn(2, *salt)
+        return anchored_farthest_min(n, anchors, plan, stream, window, search)
 
     seed = _set_to_assignment(n, witness)
     try:

@@ -582,7 +582,10 @@ F10 = (
 class TestSchoeningGolden:
     """Seeded Schoening reports on a fixed planted 3-CNF, pinned byte for
     byte apart from `wall_time_ms`, so that refactors of the packed walk
-    engine keep the seeded outputs."""
+    engine keep the seeded outputs.  At delta 1/2 the weighted oracle's
+    window is a proper sub-range of the weights ([3, 10] for --weight-min
+    5, [1, 7] for --weight-max 5), and at effort 0.1 its answers depend
+    on the stream it draws."""
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -600,6 +603,22 @@ class TestSchoeningGolden:
                 '"command": "disperse --algo schoening --s 3 --weight-max 5 --seed 12 -", '
                 '"counters": {}, "schema_version": 1, "seed": 12, "status": "OK", '
                 '"values": {"minPD": 5, "sumPD": 20}}',
+            ),
+            (
+                "disperse --algo schoening --s 3 --weight-min 5 --delta 1/2 --effort 0.1 "
+                "--seed 16 -",
+                '{"assignments": ["1111111110", "1000101101", "1001110011"], '
+                '"command": "disperse --algo schoening --s 3 --weight-min 5 --delta 1/2 '
+                '--effort 0.1 --seed 16 -", "counters": {}, "schema_version": 1, '
+                '"seed": 16, "status": "OK", "values": {"minPD": 5, "sumPD": 16}}',
+            ),
+            (
+                "disperse --algo schoening --s 3 --weight-max 5 --delta 1/2 --effort 0.1 "
+                "--seed 17 -",
+                '{"assignments": ["0010110100", "1101011010", "0100111111"], '
+                '"command": "disperse --algo schoening --s 3 --weight-max 5 --delta 1/2 '
+                '--effort 0.1 --seed 17 -", "counters": {}, "schema_version": 1, '
+                '"seed": 17, "status": "OK", "values": {"minPD": 5, "sumPD": 18}}',
             ),
             (
                 "disperse --algo schoening --s 3 --seed 13 -",
@@ -623,7 +642,15 @@ class TestSchoeningGolden:
                 '"values": {"distance": 6}}',
             ),
         ],
-        ids=["weight-min", "weight-max", "unweighted", "sum", "diameter"],
+        ids=[
+            "weight-min",
+            "weight-max",
+            "weight-min-window",
+            "weight-max-window",
+            "unweighted",
+            "sum",
+            "diameter",
+        ],
     )
     def test_pinned_report(self, monkeypatch, capsys, argv, expected):
         monkeypatch.setattr(sys, "stdin", io.StringIO(F10))

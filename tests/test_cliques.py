@@ -71,6 +71,27 @@ class TestTriangleDetect:
                 assert a12[i, j] and a13[i, k] and a23[j, k]
 
 
+    def test_float32_hits_match_the_int64_product(self):
+        """The float32 path product finds exactly the (i, k) the int64 one
+        does: every hit is reported once the hits before it are masked."""
+        rng = np.random.default_rng(9)
+        for v1, v2, v3, density in (
+            (40, 300, 30, 0.9), (60, 50, 70, 0.02), (25, 25, 25, 0.2), (1, 500, 1, 0.5)
+        ):
+            a12 = rng.random((v1, v2)) < density
+            a23 = rng.random((v2, v3)) < density
+            paths = a12.astype(np.int64) @ a23.astype(np.int64)
+            a13 = rng.random((v1, v3)) < 0.5
+            want = np.argwhere((paths > 0) & a13)
+            a13 = a13.copy()
+            for i, k in want:
+                found = triangle_detect(TupleGraph((None,) * 3, a12, a13, a23))
+                assert found[0::2] == (i, k)
+                assert found[1] == int(np.argmax(a12[i] & a23[:, k]))
+                a13[i, k] = False
+            assert triangle_detect(TupleGraph((None,) * 3, a12, a13, a23)) is None
+
+
 class TestOptMin:
     def test_example(self):
         x = [A("000"), A("011"), A("101"), A("110")]

@@ -1,12 +1,16 @@
+import functools
+import operator
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dispersat import schoning
 from dispersat.brute import brute_opt, enumerate_solutions
 from dispersat.cnf import Assignment, CnfFormula, PartialSetError, UnsatError, evaluate
 from dispersat.dispersion import (
+    _target_window,
     disperse_weighted_min,
     exact_min_oracle,
     exact_seeder,
@@ -27,9 +31,10 @@ from dispersat.measures import (
 )
 from dispersat.ppz import OracleConfig
 from dispersat.schoning import (
+    anchored_walks,
     make_plan,
     schoning_farthest_weighted,
-    schoning_weight_sweep,
+    weight_window,
 )
 
 
@@ -206,9 +211,10 @@ class TestWeighted:
 
 
 class TestFusedWeightSweep:
-    """The weighted oracle's one-pass sweep returns what one
-    schoning_farthest_weighted call per target, kept as the reference
-    here, returns: best by min-distance, ties to the smallest key."""
+    """The weighted oracle's one anchored search returns what one
+    schoning_farthest_weighted call per target on the same stream, kept
+    as the reference here, returns: best by min-distance, ties to the
+    smallest key."""
 
     @staticmethod
     def per_target_loop(plan, cfg, w, kind, formula, anchors, salt):
@@ -217,9 +223,7 @@ class TestFusedWeightSweep:
         at_least = kind is WeightKind.AT_LEAST
         targets = range(max(w, 1), n + 1) if at_least else range(1, w + 1)
         found = [
-            schoning_farthest_weighted(
-                formula, anchors, wp, plan, cfg.spawn(1, wp, *salt)
-            )
+            schoning_farthest_weighted(formula, anchors, wp, plan, cfg.spawn(1, *salt))
             for wp in targets
         ]
         candidates = [z for z in found if z is not None]
@@ -255,9 +259,50 @@ class TestFusedWeightSweep:
             all_none += none
         assert answers >= 12 and all_none >= 4
 
-    def test_targets_share_one_effort(self):
-        f = CnfFormula(6, [(1, 2, 3)])
-        plan = make_plan(6, 3)
-        cfgs = {2: OracleConfig(seed=1), 3: OracleConfig(seed=1, effort=2.0)}
-        with pytest.raises(ValueError, match="share one effort"):
-            schoning_weight_sweep(f, [A("111111")], plan, cfgs)
+    def test_window_is_the_union_of_the_targets_windows(self):
+        """Weights as bit masks: bit x of masks[W'] is set when weight x
+        lies in weight_window(delta, W')."""
+        for delta in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1),
+                      Fraction(1, 7), Fraction(5, 6)):
+            for n in range(1, 64):
+                masks = [0] * (n + 1)
+                for wp in range(1, n + 1):
+                    lo, hi = weight_window(delta, wp)
+                    masks[wp] = (1 << (hi + 1)) - (1 << lo)
+                for w in range(n + 1):
+                    for at_least in (True, False):
+                        targets = range(max(w, 1), n + 1) if at_least else range(1, w + 1)
+                        union = functools.reduce(operator.or_, (masks[t] for t in targets), 0)
+                        window = _target_window(delta, n, w, at_least)
+                        if window is None:
+                            assert union == 0
+                        else:
+                            lo, hi = window
+                            assert union == (1 << (hi + 1)) - (1 << lo)
+                with pytest.raises(ValueError, match="W must lie in 0..n"):
+                    _target_window(delta, n, n + 1, False)
+
+    @pytest.mark.parametrize("kind", [WeightKind.AT_LEAST, WeightKind.AT_MOST])
+    def test_one_call_plans_one_anchored_search(self, monkeypatch, kind):
+        """On an unsatisfiable formula no task stops early, so the engine
+        walks every planned walk: one call walks what one anchored search
+        around the anchors and the all-zeros point plans, for 1..n
+        targets."""
+        n = 8
+        f = CnfFormula(n, [(1, 2), (1, -2), (-1, 2), (-1, -2)])
+        plan = make_plan(n, 3)
+        cfg = OracleConfig(seed=5)
+        anchors = [A("10110010"), A("01100111")]
+        walked = []
+        run = schoning._Walker.run
+
+        def counted(self, starts, lengths, uniforms):
+            walked.append(len(starts))
+            return run(self, starts, lengths, uniforms)
+
+        monkeypatch.setattr(schoning._Walker, "run", counted)
+        planned = anchored_walks(plan, cfg.effort, len(anchors) + 1)
+        for w in range(1, n + 1):
+            walked.clear()
+            assert schoning_weighted_min_oracle(plan, cfg, w, kind)(f, anchors) is None
+            assert sum(walked) == planned

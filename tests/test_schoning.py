@@ -581,8 +581,8 @@ class TestWalkEngine:
         """Task by task, the packed pass finds what local_search finds from
         the same start with the same uniforms.  The reference draws each
         block from its own generator seeded by (seed, block): the starts
-        first, then each task's walks in turn.  Two runs, as two weight
-        targets, in groups of one block and in the default groups."""
+        first, then each task's walks in turn.  Two streams, each as one
+        call, in groups of one block and in the default groups."""
 
         class Enough(Exception):
             pass
@@ -613,32 +613,34 @@ class TestWalkEngine:
             search = schoning._walk_search(f, plan)
             cfgs = [OracleConfig(seed=rng.randrange(2**32)) for _ in range(2)]
             centers = [rng.randrange(1 << n) for _ in range(2)]
-            want = itertools.chain(*(reference(f, plan, c, centers) for c in cfgs))
-            seen = []
+            for cfg in cfgs:
+                want = reference(f, plan, cfg, centers)
+                seen = []
 
-            def spy(keys, t, blocks):
-                nonlocal hits
-                out, hit = search(keys, t, blocks)
-                refs = list(itertools.islice(want, len(keys)))
-                assert len(refs) == len(keys)
-                for i, (key, ref) in enumerate(refs):
-                    assert int(keys[i]) == key
-                    assert bool(hit[i]) == (ref is not None)
-                    if ref is not None:
-                        assert int(out[i]) == ref.key
-                        hits += 1
-                seen.extend(blocks)
-                if limit is not None and len(seen) >= limit:
-                    raise Enough
-                return out, hit
+                def spy(keys, t, blocks):
+                    nonlocal hits
+                    out, hit = search(keys, t, blocks)
+                    refs = list(itertools.islice(want, len(keys)))
+                    assert len(refs) == len(keys)
+                    for i, (key, ref) in enumerate(refs):
+                        assert int(keys[i]) == key
+                        assert bool(hit[i]) == (ref is not None)
+                        if ref is not None:
+                            assert int(out[i]) == ref.key
+                            hits += 1
+                    seen.extend(blocks)
+                    if limit is not None and len(seen) >= limit:
+                        raise Enough
+                    return out, hit
 
-            runs = [(c, (0, n)) for c in cfgs]
-            try:
-                schoning._anchored_argmax(n, plan, runs, centers, 1, spy, centers, np.min)
-                assert next(want, None) is None  # every reference task was searched
-            except Enough:
-                pass
-            assert len(seen) >= (limit or 2)
+                try:
+                    schoning._anchored_argmax(
+                        n, plan, cfg, (0, n), centers, 1, spy, centers, np.min
+                    )
+                    assert next(want, None) is None  # every reference task was searched
+                except Enough:
+                    pass
+                assert len(seen) >= (limit or 1)
         assert hits > 100
 
     @pytest.mark.parametrize("group", [1, 3, 3 * schoning._TASK_BLOCK, None])
