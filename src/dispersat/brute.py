@@ -57,37 +57,45 @@ def distance_matrix(keys):
     return popcount(keys[:, None] ^ keys[None, :])
 
 
-def _best_tuple(dmat, s, fold, repeat):
+def _best_tuple(dmat, s, fold, repeat, width):
     """(value, index tuple) of the s-tuple whose pairwise distances in
     `dmat`, folded by `fold` (np.minimum or np.add), are largest; the
     tuples run in combinations order, combinations_with_replacement
     order when `repeat`, and the first maximiser wins.  A prefix carries
     its folded pair value and `reach`, its folded distances to each point
-    from `lo` on, so the last level is one argmax over the tail.  Under
-    np.minimum a prefix no better than the best found is skipped, and the
-    identity is the largest distance, which no s-set's minimum beats, so
-    reaching it ends the search."""
+    from `lo` on, so the last level is one argmax over the tail.  A prefix
+    whose bound is no better than the best found is skipped.  Under
+    np.minimum the bound is its value, and the identity is the largest
+    distance, which no s-set's minimum beats, so reaching it ends the
+    search.  Under np.add the bound of t points is their value, plus
+    s - t times their largest reach, plus C(s - t, 2) times the largest
+    distance, capped by `width` s^2 / 4 for points that differ on `width`
+    coordinates: a coordinate on which c of them are 1 adds c (s - c)."""
     m, step, prune = len(dmat), int(not repeat), fold is np.minimum
+    top, cap = int(dmat.max()), width * (s * s // 4)
     best = [-1, None]
 
     def extend(prefix, value, reach, lo):
-        if len(prefix) == s - 1:
+        left = s - len(prefix) - 1  # points still to add after a child
+        if not left:
             tail = fold(reach, value)
             k = int(np.argmax(tail))
             if tail[k] > best[0]:
                 best[:] = int(tail[k]), (*prefix, lo + k)
             return
         # values[j]: the prefix extended by point lo + j, leaving room after it
-        values = fold(reach[: m - (s - len(prefix) - 1) * step - lo], value)
-        order = np.flatnonzero(values > best[0]) if prune else range(len(values))
-        for j in order:
-            if prune and values[j] <= best[0]:
-                continue  # the best rose since `order` was taken
+        values = fold(reach[: m - left * step - lo], value)
+        pairs = left * (left - 1) // 2 * top
+        bound = values if prune else np.full(values.size, cap)
+        for j in np.flatnonzero(bound > best[0]):
+            if bound[j] <= best[0]:
+                continue  # the best rose since `bound` was screened
             nxt = lo + j + step
             moved = fold(reach[j + step :], dmat[lo + j, nxt:])
-            extend((*prefix, lo + j), values[j], moved, nxt)
+            if prune or min(values[j] + left * int(moved.max()) + pairs, cap) > best[0]:
+                extend((*prefix, lo + j), values[j], moved, nxt)
 
-    identity = int(dmat.max()) if prune else 0
+    identity = top if prune else 0
     extend((), identity, np.full(m, identity, dtype=np.int64), 0)
     return tuple(best)
 
@@ -122,8 +130,9 @@ def brute_opt(formula, s, objective, weight=NO_WEIGHT):
             f"the limit {CLIQUE_BLOCK_LIMIT}"
         )
     else:
-        fold = np.minimum if minimum else np.add
-        value, idx = _best_tuple(distance_matrix(pool), s, fold, not objective.distinct)
+        fold, repeat = (np.minimum if minimum else np.add), not objective.distinct
+        width = int(np.bitwise_or.reduce(pool ^ pool[0])).bit_count()
+        value, idx = _best_tuple(distance_matrix(pool), s, fold, repeat, width)
     members = [Assignment(formula.n, key) for key in pool[list(idx)].tolist()]
     return value, SolutionCollection(members, objective.distinct or s == 1)
 

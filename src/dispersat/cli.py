@@ -55,7 +55,7 @@ from .measures import (
     min_pairwise_distance,
     sum_pairwise_distance,
 )
-from .ppz import OracleConfig, ppz_farthest_sum, ppz_solve_counted
+from .ppz import OracleConfig, _pool, ppz_farthest_sum, ppz_solve_counted
 from .schoning import (
     BudgetPlan,
     anchored_walks,
@@ -169,12 +169,13 @@ def _cmd_diameter(args, report):
     elif args.algo == "minones":
         pair = diameter_via_min_ones(formula)
     elif args.algo == "ppz":
-        z1, iterations = ppz_solve_counted(formula, cfg.spawn(0))
+        stream = cfg.spawn(1)  # one pool: z1 is its first hit
+        z1, iterations = _pool(formula, stream).solve(formula)
         report.counters["iterations"] = iterations
         if z1 is None:
             report.status = "NOT_FOUND"
             return
-        z2 = ppz_farthest_sum(formula, [z1], cfg.spawn(1))
+        z2 = ppz_farthest_sum(formula, [z1], stream)
         pair = (z1, z2)
     else:  # schoening
         plan = _plan(formula, args)

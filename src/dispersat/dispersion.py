@@ -1,7 +1,8 @@
 """Objective-level drivers: farthest-point insertion for min-dispersion,
 insertion plus swap local search for sum-dispersion, and the weighted
 wrappers.  Any farthest-point oracle plugs in; the seeded randomized
-oracles get a fresh derived stream per call so retries never replay."""
+oracles derive their streams per attempt, not per call, so a retry never
+replays: a PPZ driver's attempt-0 calls and seed share one stream."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .measures import (
     sum_distance_to,
     sum_pairwise_distance,
 )
-from .ppz import ppz_farthest_min, ppz_farthest_sum, ppz_solve
+from .ppz import _pool, ppz_farthest_min, ppz_farthest_sum
 from .schoning import (
     _walk_search,
     anchored_farthest_min,
@@ -40,7 +41,9 @@ MAX_RETRY_FACTOR = 3  # duplicate-rejection retries per insertion: 3 * s
 @dataclass
 class FarthestOracle:
     """A farthest-point oracle: flavor 'min' expects a distinct anchor
-    set, flavor 'sum' accepts a multiset.  Instances count their calls."""
+    set, flavor 'sum' accepts a multiset.  `fn(formula, anchors, salt)`
+    derives its stream from `salt`, which names the attempt, not the
+    call.  Instances count their calls."""
 
     flavor: str
     fn: object
@@ -62,17 +65,22 @@ def exact_sum_oracle(exclude=False):
 
 
 def ppz_min_oracle(cfg):
+    """Calls score the PPZ pool of stream cfg.spawn(1), but a retry (salt
+    (step, attempt >= 1)), whose pooled answer would repeat, draws anew."""
+    stream = cfg.spawn(1)
     return FarthestOracle(
-        "min", lambda f, s, salt: ppz_farthest_min(f, s, cfg.spawn(1, *salt))
+        "min",
+        lambda f, s, salt: ppz_farthest_min(
+            f, s, cfg.spawn(1, *salt) if salt and salt[-1] else stream
+        ),
     )
 
 
 def ppz_sum_oracle(cfg, exclude=False):
+    """Every call scores the PPZ pool of stream cfg.spawn(1)."""
+    stream = cfg.spawn(1)
     return FarthestOracle(
-        "sum",
-        lambda f, s, salt: ppz_farthest_sum(
-            f, s, cfg.spawn(1, *salt), exclude=exclude
-        ),
+        "sum", lambda f, s, salt: ppz_farthest_sum(f, s, stream, exclude=exclude)
     )
 
 
@@ -144,7 +152,9 @@ def exact_seeder():
 
 
 def ppz_seeder(cfg):
-    return lambda formula: ppz_solve(formula, cfg.spawn(0))
+    """The first hit of the PPZ oracles' pool on stream cfg.spawn(1)."""
+    stream = cfg.spawn(1)
+    return lambda formula: _pool(formula, stream).solve(formula)[0]
 
 
 def schoning_seeder(cfg):

@@ -31,6 +31,8 @@ _MASK64 = (1 << 64) - 1
 _BATCH = 1 << 13  # fixed logical batch so results never depend on scheduling
 _SOLVE_CUTS = (1 << 6, 1 << 8, 1 << 10, 1 << 12, _BATCH)  # early-exit segments
 _BALL_CHUNK = 1 << 16  # keys per evaluate_keys call in phase 1
+_POOL_KEYS = 1 << 20  # distinct keys a pool keeps (8 MB); above, each call replays
+_POOLS = 2  # pools kept per formula, the most recently used
 _WORDS = (np.uint8, np.uint16, np.uint32, np.uint64)
 HARD_REPETITION_CAP = 1 << 26
 TAU_LIMIT = 7
@@ -271,18 +273,19 @@ def packed_engine(formula, cls):
     return engines[cls]
 
 
-def _batches(formula, cfg, total, cuts=(_BATCH,)):
-    """Yield (keys, satisfied, start_index) for `total` seeded samples;
-    each seeded block of _BATCH samples is run in segments ending at
-    `cuts`, so a caller can stop early without changing the stream."""
+def _batches(formula, cfg, total, cuts=(_BATCH,), start=0):
+    """Yield (keys, satisfied, start_index) for `total` seeded samples
+    from the block at `start` on; each seeded block of _BATCH samples is
+    run in segments ending at `cuts`, so a caller can stop early without
+    changing the stream."""
     eng = packed_engine(formula, _Engine)
     n = formula.n
     # `permuted` copies this view into a fresh column-major block, so
     # no (B, n) block is tiled and each step's variables are contiguous
     base = np.broadcast_to(np.arange(1, n + 1, dtype=np.int64), (_BATCH, n))
-    for batch_index, done in enumerate(range(0, total, _BATCH)):
+    for done in range(start, total, _BATCH):
         take = min(_BATCH, total - done)
-        gen = np.random.default_rng(cfg.seed_sequence(batch_index))
+        gen = np.random.default_rng(cfg.seed_sequence(done // _BATCH))
         ys = gen.integers(0, 2, size=(_BATCH, n), dtype=np.uint8)
         pis = gen.permuted(base, axis=1)
         lo = 0
@@ -341,23 +344,75 @@ def ppz_solve_counted(formula, cfg=OracleConfig()):
     return None, total
 
 
-def _batch_winners(formula, cfg, total, anchor_keys, reduce, reject_keys=None):
-    """Keys of each batch's farthest satisfying output (see
-    `farthest_index`) over `total` samples, skipping outputs whose key is
-    in reject_keys, which must be distinct.  Each batch's outputs are
-    scored once per distinct key: the answer is a key, and ties go to
-    the smallest."""
-    winners = []
-    for keys, satisfied, _ in _batches(formula, cfg, total):
-        keys = np.sort(keys[satisfied])
-        distinct = np.ones(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-        keys = keys[distinct]
-        if reject_keys is not None:
-            keys = keys[~np.isin(keys, reject_keys, assume_unique=True)]
-        if keys.size:
-            winners.append(keys[farthest_index(keys, anchor_keys, reduce)])
-    return np.array(winners, dtype=np.int64)
+def _distinct(keys):
+    """Sorted distinct keys; np.unique's hash path in numpy 2.4 raises a
+    run's peak RSS by about 1.5 MB on first use."""
+    keys = np.sort(keys)
+    distinct = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    return keys[distinct]
+
+
+class _Pool:
+    """The satisfying outputs of stream `cfg`'s PPZ budget, each block
+    drawn once: `first` is the (key, draw index) of the first satisfying
+    sample or None, and `parts` the keys drawn, merged into one sorted
+    distinct array at the end and past 2 _POOL_KEYS keys; None once a
+    merge holds more, and then every scoring replays the stream."""
+
+    def __init__(self, cfg, total):
+        self.cfg, self.total, self.drawn, self.held, self.first = cfg, total, 0, 0, None
+        self.parts = []
+
+    def draw(self, formula, until_first=False):
+        """Draw the blocks not drawn yet: up to the first hit with
+        until_first, else to the end of the budget."""
+        blocks = _batches(formula, self.cfg, self.total, start=self.drawn)
+        for keys, satisfied, start in blocks:
+            self.drawn, hits = start + _BATCH, keys[satisfied]
+            if self.first is None and hits.size:
+                self.first = int(hits[0]), start + int(np.argmax(satisfied)) + 1
+            self.parts.append(hits)
+            self.held += hits.size
+            if self.held > 2 * _POOL_KEYS or self.drawn >= self.total:
+                self.parts = [_distinct(np.concatenate(self.parts))]
+                self.held = self.parts[0].size
+                if self.held > _POOL_KEYS:
+                    self.parts, self.drawn = None, self.total
+            if self.parts is None or until_first and self.first is not None:
+                return
+
+    def solve(self, formula):
+        """ppz_solve_counted's answer on the pool's stream."""
+        if self.first is None:
+            self.draw(formula, until_first=True)
+        key, index = self.first or (None, self.total)
+        return key if key is None else Assignment(formula.n, key), index
+
+    def winners(self, formula, anchor_keys, reduce, reject_keys=None):
+        """Keys of the farthest satisfying output (see `farthest_index`)
+        of the pool or of each replayed block, skipping keys in the
+        distinct reject_keys: the farthest of them is the budget's."""
+        self.draw(formula)
+        replay = _batches(formula, self.cfg, self.total)  # runs if not kept
+        winners = []
+        for keys in self.parts or (_distinct(k[sat]) for k, sat, _ in replay):
+            if reject_keys is not None:
+                keys = keys[~np.isin(keys, reject_keys, assume_unique=True)]
+            if keys.size:
+                winners.append(keys[farthest_index(keys, anchor_keys, reduce)])
+        return np.array(winners, dtype=np.int64)
+
+
+def _pool(formula, cfg):
+    """Stream `cfg`'s `_Pool`, kept on the formula with the _POOLS - 1
+    used last; its budget is resolved, or refused, before any draw."""
+    pools = vars(formula).setdefault("_pools", {})
+    pool = pools.pop(cfg, None) or _Pool(cfg, cfg.resolve(formula.n, formula.k))
+    pools[cfg] = pool
+    if len(pools) > _POOLS:
+        del pools[next(iter(pools))]
+    return pool
 
 
 def _farthest(n, keys, anchor_keys, reduce):
@@ -371,8 +426,7 @@ def ppz_farthest_sum(formula, anchors, cfg=OracleConfig(), exclude=False):
     exclude=True discards outputs equal to an anchor (distinct variant)."""
     anchor_keys = anchor_keys_of(formula.n, anchors)
     reject = np.array(sorted(set(anchor_keys)), dtype=np.int64) if exclude else None
-    total = cfg.resolve(formula.n, formula.k)
-    winners = _batch_winners(formula, cfg, total, anchor_keys, np.sum, reject)
+    winners = _pool(formula, cfg).winners(formula, anchor_keys, np.sum, reject)
     return _farthest(formula.n, winners, anchor_keys, np.sum)
 
 
@@ -422,12 +476,12 @@ def ppz_farthest_min(formula, anchors, cfg=OracleConfig()):
             f"phase 1 would evaluate {anchor_keys.size * ball} keys (radius "
             f"{radius}, n={n}), above the cap of {HARD_REPETITION_CAP}"
         )
-    total = cfg.resolve(n, formula.k)
+    pool = _pool(formula, cfg)
     masks = _ball_masks(n, radius)
     step = max(1, _BALL_CHUNK // anchor_keys.size)
     hits = []
     for lo in range(0, masks.size, step):
         keys = (anchor_keys[:, None] ^ masks[lo : lo + step]).ravel()
         hits.append(keys[evaluate_keys(formula, keys)])
-    hits.append(_batch_winners(formula, cfg, total, anchor_keys, np.min))
+    hits.append(pool.winners(formula, anchor_keys, np.min))
     return _farthest(n, np.concatenate(hits), anchor_keys, np.min)

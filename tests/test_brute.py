@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from dispersat.brute import (
+    _best_tuple,
     brute_opt,
     diameter_via_min_ones,
+    distance_matrix,
     enumerate_solutions,
     farthest_min,
     farthest_sum,
@@ -204,6 +206,34 @@ class TestBruteOpt:
                     assert (val, wit.members) == naive_first(pool, s, objective)
                     checked += 1
         assert checked > 100
+
+
+class TestSumBound:
+    @pytest.mark.parametrize("repeat", [False, True], ids=["distinct", "multiset"])
+    def test_pruned_search_matches_the_unpruned_one(self, repeat):
+        """The sum search skips prefixes by their bound and stops at the
+        Hamming ceiling; (value, witness) stay those of the search that
+        skips nothing: the first maximiser in itertools order."""
+        rng = np.random.default_rng(23 + repeat)
+        tuples = combinations_with_replacement if repeat else combinations
+        at_ceiling = []
+        for _ in range(60):
+            n = int(rng.integers(1, 11))
+            m = int(rng.integers(1, min(1 << n, 12) + 1))
+            keys = np.sort(rng.choice(1 << n, size=m, replace=False))
+            dmat = distance_matrix(keys)
+            width = int(np.bitwise_or.reduce(keys ^ keys[0])).bit_count()
+            for s in range(2, 6):
+                if m < s and not repeat:
+                    continue
+                unpruned = (-1, None)
+                for idx in tuples(range(m), s):
+                    value = sum(int(dmat[a, b]) for a, b in combinations(idx, 2))
+                    if value > unpruned[0]:
+                        unpruned = (value, idx)
+                assert _best_tuple(dmat, s, np.add, repeat, width) == unpruned
+                at_ceiling.append(unpruned[0] == width * (s * s // 4))
+        assert 10 < sum(at_ceiling) < len(at_ceiling) - 10
 
 
 class TestFarthest:

@@ -667,7 +667,9 @@ P16 = planted_kcnf(16, 3, 48, np.random.default_rng(16))[0].to_dimacs()
 class TestPpzGolden:
     """Seeded PPZ reports, pinned byte for byte apart from `wall_time_ms`,
     so that changes to the PPZ batch engine keep the seeded outputs.  P8
-    is the benchmark's n=8, k=7 family; P16 a planted n=16, k=3 formula."""
+    is the benchmark's n=8, k=7 family; P16 a planted n=16, k=3 formula.
+    Recorded under seed format 3: a command draws one stream, and its
+    seed or z1 is that pool's first hit."""
 
     @pytest.mark.parametrize(
         "text, argv, expected",
@@ -675,39 +677,39 @@ class TestPpzGolden:
             (
                 F10,
                 "diameter --algo ppz --seed 21 -",
-                '{"assignments": ["0010110110", "1101011000"], '
+                '{"assignments": ["1001111101", "0010110110"], '
                 '"command": "diameter --algo ppz --seed 21 -", '
                 '"counters": {"iterations": 3}, "schema_version": 1, "seed": 21, '
-                '"status": "OK", "values": {"distance": 8}}',
+                '"status": "OK", "values": {"distance": 6}}',
             ),
             (
                 F10,
                 "disperse --s 3 --algo ppz --objective min --seed 22 -",
-                '{"assignments": ["1000111111", "0101011100", "0010110100"], '
+                '{"assignments": ["1111111000", "0000101111", "0001011100"], '
                 '"command": "disperse --s 3 --algo ppz --objective min --seed 22 -", '
                 '"counters": {"oracle_calls": 2}, "schema_version": 1, "seed": 22, '
-                '"status": "OK", "values": {"minPD": 5, "sumPD": 16}}',
+                '"status": "OK", "values": {"minPD": 5, "sumPD": 18}}',
             ),
             (
                 F10,
                 "disperse --s 3 --algo ppz --objective sum --seed 23 -",
-                '{"assignments": ["0010110100", "1000101111", "1101011000"], '
+                '{"assignments": ["1111111000", "0000101111", "0001011100"], '
                 '"command": "disperse --s 3 --algo ppz --objective sum --seed 23 -", '
-                '"counters": {"oracle_calls": 8}, "schema_version": 1, "seed": 23, '
-                '"status": "OK", "values": {"minPD": 6, "sumPD": 20}}',
+                '"counters": {"oracle_calls": 5}, "schema_version": 1, "seed": 23, '
+                '"status": "OK", "values": {"minPD": 5, "sumPD": 18}}',
             ),
             (
                 F10,
                 "disperse --s 3 --algo ppz --objective sum-distinct --seed 24 -",
-                '{"assignments": ["0010110100", "1000101111", "1101011000"], '
+                '{"assignments": ["1001110011", "0110111100", "0000101101"], '
                 '"command": "disperse --s 3 --algo ppz --objective sum-distinct '
-                '--seed 24 -", "counters": {"oracle_calls": 8}, "schema_version": 1, '
-                '"seed": 24, "status": "OK", "values": {"minPD": 6, "sumPD": 20}}',
+                '--seed 24 -", "counters": {"oracle_calls": 5}, "schema_version": 1, '
+                '"seed": 24, "status": "OK", "values": {"minPD": 4, "sumPD": 18}}',
             ),
             (
                 P8,
                 "disperse --s 3 --algo ppz --objective min --seed 25 -",
-                '{"assignments": ["01011011", "10100100", "00000001"], '
+                '{"assignments": ["00100101", "11011010", "00000010"], '
                 '"command": "disperse --s 3 --algo ppz --objective min --seed 25 -", '
                 '"counters": {"oracle_calls": 2}, "schema_version": 1, "seed": 25, '
                 '"status": "OK", "values": {"minPD": 4, "sumPD": 16}}',
@@ -715,10 +717,10 @@ class TestPpzGolden:
             (
                 P16,
                 "diameter --algo ppz --effort 0.25 --seed 26 -",
-                '{"assignments": ["0000011001011010", "1010100110100001"], '
+                '{"assignments": ["1000001110111101", "0011100110000000"], '
                 '"command": "diameter --algo ppz --effort 0.25 --seed 26 -", '
-                '"counters": {"iterations": 21}, "schema_version": 1, "seed": 26, '
-                '"status": "OK", "values": {"distance": 13}}',
+                '"counters": {"iterations": 1}, "schema_version": 1, "seed": 26, '
+                '"status": "OK", "values": {"distance": 10}}',
             ),
         ],
         ids=["diameter", "min", "sum", "sum-distinct", "planted-n8-k7", "planted-n16-k3"],

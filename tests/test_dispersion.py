@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dispersat import schoning
+from dispersat import dispersion, schoning
 from dispersat.brute import brute_opt, enumerate_solutions
 from dispersat.cnf import Assignment, CnfFormula, PartialSetError, UnsatError, evaluate
 from dispersat.dispersion import (
@@ -18,6 +18,7 @@ from dispersat.dispersion import (
     gonzalez_min,
     ppz_min_oracle,
     ppz_seeder,
+    ppz_sum_oracle,
     schoning_weighted_min_oracle,
     sum_disperse,
 )
@@ -29,7 +30,8 @@ from dispersat.measures import (
     min_pairwise_distance,
     sum_pairwise_distance,
 )
-from dispersat.ppz import OracleConfig
+from dispersat.generators import planted_kcnf
+from dispersat.ppz import _BATCH, OracleConfig
 from dispersat.schoning import (
     anchored_walks,
     make_plan,
@@ -98,6 +100,50 @@ class TestGonzalez:
             )
             assert len(out) == 3
             assert all(evaluate(f, z) for z in out)
+
+
+class TestPpzPool:
+    """The PPZ drivers draw one stream, cfg.spawn(1): the seed is its
+    first hit and every attempt-0 oracle call scores its pool."""
+
+    @pytest.mark.parametrize("driver", ["gonzalez_min", "sum_disperse"])
+    def test_a_driver_draws_each_block_once(self, monkeypatch, driver):
+        draws = []
+        seed_sequence = OracleConfig.seed_sequence
+
+        def counted(self, *salt):
+            draws.append((self.seed, salt))
+            return seed_sequence(self, *salt)
+
+        f = planted_kcnf(8, 7, 60, np.random.default_rng(9))[0]
+        cfg = OracleConfig(seed=9, effort=0.6)
+        monkeypatch.setattr(OracleConfig, "seed_sequence", counted)
+        if driver == "gonzalez_min":
+            out = gonzalez_min(f, 3, ppz_min_oracle(cfg), ppz_seeder(cfg))
+        else:
+            out = sum_disperse(f, 3, ppz_sum_oracle(cfg), ppz_seeder(cfg))
+        monkeypatch.undo()
+        assert len(out) == 3
+        blocks = [draw for draw in draws if draw[0] != cfg.seed]  # not a spawn
+        stream = cfg.spawn(1).seed
+        total = -(-cfg.resolve(f.n, f.k) // _BATCH)
+        assert total == 3
+        assert blocks == [(stream, (b,)) for b in range(total)]
+
+    def test_a_retry_draws_its_own_stream(self, monkeypatch):
+        streams = []
+
+        def farthest(formula, anchors, cfg):
+            streams.append(cfg)
+
+        monkeypatch.setattr(dispersion, "ppz_farthest_min", farthest)
+        cfg = OracleConfig(seed=10)
+        oracle = ppz_min_oracle(cfg)
+        for salt in [(2, 0), (3, 0), (2, 1), (2, 2), (3, 1)]:
+            oracle(CnfFormula(2, [(1, 2)]), [A("11")], salt=salt)
+        assert streams[0] == streams[1] == cfg.spawn(1)
+        assert len(set(streams)) == 4
+        assert streams[2] == cfg.spawn(1, 2, 1)
 
 
 class TestSumDisperse:

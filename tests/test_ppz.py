@@ -10,13 +10,17 @@ from dispersat.brute import enumerate_solutions
 from dispersat.cnf import Assignment, CapabilityError, CnfFormula, evaluate
 from dispersat.generators import planted_kcnf
 from dispersat.measures import best_index
+from dispersat import ppz
 from dispersat.ppz import (
+    _BATCH,
+    _POOLS,
     _SOLVE_CUTS,
     OracleConfig,
     PpzSample,
     _ball_masks,
     _Engine,
     _batches,
+    _pool,
     ball_radius,
     packed_engine,
     ppz_farthest_min,
@@ -391,6 +395,21 @@ class TestSolve:
         unsat = CnfFormula(1, [(1,), (-1,)])
         assert ppz_solve_counted(unsat, OracleConfig(repetitions=9000)) == (None, 9000)
 
+    def test_pool_first_hit_is_the_solve(self):
+        """The pool's first hit, read before or after the whole budget is
+        drawn, is ppz_solve_counted's answer on the same stream."""
+        rng = random.Random(61)
+        formulas = [c09_formula(9), random_formula(rng, 10), CnfFormula(1, [(1,), (-1,)])]
+        formulas += [planted_kcnf(14, 3, 60, np.random.default_rng(1))[0]]
+        for f in formulas:
+            for seed in range(4):
+                cfg = OracleConfig(seed=seed, effort=0.05)
+                expected = ppz_solve_counted(f, cfg)
+                assert _pool(f, cfg).solve(f) == expected
+                g = CnfFormula(f.n, f.clauses)
+                ppz_farthest_sum(g, [Assignment(f.n, 0)], cfg)  # draws the whole budget
+                assert _pool(g, cfg).solve(g) == expected
+
     def test_budget_resolution(self):
         cfg = OracleConfig(seed=0, effort=1.0)
         assert cfg.resolve(6, 3) == math.ceil(4 * 36 * 2 ** (6 - 2))
@@ -532,6 +551,47 @@ class TestFarthest:
                 assert ppz_farthest_min(f, a, cfg) == reference_farthest(
                     f, a, cfg, min, ball=True
                 )
+
+    @pytest.mark.parametrize("pool_keys", [0, 5], ids=["replay", "merged-early"])
+    def test_kept_and_replayed_pools_agree(self, monkeypatch, pool_keys):
+        """A pool above the key limit is not kept, and every call replays
+        its stream; the answers are those of the kept pool, so of the
+        per-sample reference.  A limit of 5 also merges the pool before
+        the budget is drawn and drops it at a merge."""
+        rng = random.Random(60)
+        cases = [
+            (c09_formula(7), OracleConfig(seed=3, effort=0.6)),  # three batches
+            (random_formula(rng, 12, m=3), OracleConfig(seed=4, repetitions=3 * _BATCH)),
+            (CnfFormula(9, [(1, -2), (3,)]), OracleConfig(seed=5, repetitions=_BATCH + 1)),
+            # three solutions: kept after a merge in the middle of the budget
+            (CnfFormula(6, [(1,), (2,), (-3,), (4, 5), (6,)]), OracleConfig(seed=6, repetitions=4 * _BATCH)),
+        ]
+        for f, cfg in cases:
+            anchors = [Assignment(f.n, rng.randrange(1 << f.n)) for _ in range(3)]
+            kept = [
+                oracle(CnfFormula(f.n, f.clauses), anchors[:count], cfg)
+                for count in (1, 3)
+                for oracle in (ppz_farthest_min, ppz_farthest_sum)
+            ]
+            monkeypatch.setattr(ppz, "_POOL_KEYS", pool_keys)
+            g = CnfFormula(f.n, f.clauses)  # a fresh formula keeps no pool yet
+            replayed = [
+                oracle(g, anchors[:count], cfg)
+                for count in (1, 3)
+                for oracle in (ppz_farthest_min, ppz_farthest_sum)
+            ]
+            monkeypatch.undo()
+            assert replayed == kept
+            assert kept[3] == reference_farthest(f, anchors, cfg, sum)
+            assert ppz_farthest_sum(g, anchors, cfg, exclude=True) == reference_farthest(
+                f, anchors, cfg, sum, exclude=True
+            )
+
+    def test_pools_per_formula_are_bounded(self):
+        f = c09_formula(8)
+        for seed in range(5):
+            ppz_farthest_sum(f, [Assignment(8, 0)], OracleConfig(seed=seed, effort=0.1))
+            assert len(vars(f)["_pools"]) == min(seed + 1, _POOLS)
 
     def test_anchor_length_must_match_formula(self):
         f = CnfFormula(3, [(1, 2)])
