@@ -2,7 +2,8 @@
 
 Farthest insertion gives half the optimal min-dispersion; for the sum
 objective a swap local search pushes the factor to (s-1)/(s+1).  Any
-oracle plugs in: exact (brute force), PPZ, or anchored Schoening.
+oracle plugs in: exact (brute force), PPZ, or anchored Schoening, and
+each one brings its own seed solution.
 Weight windows come for free by anchoring at the all-zeros point.
 """
 
@@ -16,18 +17,13 @@ from dispersat import (
     brute_opt,
     disperse_weighted_min,
     enumerate_solutions,
+    exact_oracle,
     gonzalez_min,
     make_plan,
     min_pairwise_distance,
+    ppz_oracle,
     sum_disperse,
     sum_pairwise_distance,
-)
-from dispersat.dispersion import (
-    exact_min_oracle,
-    exact_seeder,
-    exact_sum_oracle,
-    ppz_min_oracle,
-    ppz_seeder,
 )
 from dispersat.generators import planted_kcnf
 
@@ -37,18 +33,18 @@ print(f"planted 3-CNF: n=9, m=27, |solutions|={len(enumerate_solutions(formula))
 
 s = 4
 opt_min, _ = brute_opt(formula, s, DispersionObjective.MIN_PD)
-out = gonzalez_min(formula, s, exact_min_oracle(), exact_seeder())
+out = gonzalez_min(formula, s, exact_oracle(DispersionObjective.MIN_PD))
 print(f"\nmin-dispersion, s={s}: optimum {opt_min}")
 print("  farthest insertion (exact oracle):",
       [z.to_string() for z in out], "minPD", min_pairwise_distance(out))
 
 cfg = OracleConfig(seed=42, effort=0.5)
-out_ppz = gonzalez_min(formula, s, ppz_min_oracle(cfg), ppz_seeder(cfg))
+out_ppz = gonzalez_min(formula, s, ppz_oracle(cfg, DispersionObjective.MIN_PD))
 print("  farthest insertion (PPZ oracle):  ",
       [z.to_string() for z in out_ppz], "minPD", min_pairwise_distance(out_ppz))
 
 opt_sum, _ = brute_opt(formula, s, DispersionObjective.SUM_PD)
-out_sum = sum_disperse(formula, s, exact_sum_oracle(), exact_seeder())
+out_sum = sum_disperse(formula, s, exact_oracle(DispersionObjective.SUM_PD))
 got = sum_pairwise_distance(out_sum)
 print(f"\nsum-dispersion, s={s}: optimum {opt_sum}, insertion+swaps got {got}")
 print(f"  guarantee at s={s}: >= {(s - 1)}/{(s + 1)} of optimum "

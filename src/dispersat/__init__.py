@@ -62,13 +62,10 @@ from .schoning import (
 from .dispersion import (
     FarthestOracle,
     disperse_weighted_min,
-    exact_min_oracle,
-    exact_sum_oracle,
+    exact_oracle,
     gonzalez_min,
-    ppz_min_oracle,
-    ppz_sum_oracle,
-    schoning_min_oracle,
-    schoning_sum_oracle,
+    ppz_oracle,
+    schoning_oracle,
     sum_disperse,
 )
 from .subsets import (

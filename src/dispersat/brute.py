@@ -21,7 +21,7 @@ from .cnf import (
     solution_indicator,
 )
 from .measures import DispersionObjective, NO_WEIGHT, SolutionCollection, WeightKind
-from .measures import anchor_keys_of, best_index, farthest_index, popcount
+from .measures import anchor_keys_of, best_index, farthest, popcount
 
 ENUMERATION_LIMIT = 24  # 16M assignments; `enumerate --limit` may raise it
 CLIQUE_BLOCK_LIMIT = 1 << 24  # int64 entries of a distance or part-pair block
@@ -142,9 +142,7 @@ def _farthest(formula, anchors, reduce, exclude=False):
     keys = solution_keys(formula)
     anchor_keys = anchor_keys_of(formula.n, anchors)
     keys = np.setdiff1d(keys, anchor_keys) if exclude else keys
-    if not keys.size:
-        return None
-    return Assignment(formula.n, int(keys[farthest_index(keys, anchor_keys, reduce)]))
+    return farthest(formula.n, keys, anchor_keys, reduce)
 
 
 def farthest_min(formula, anchors):

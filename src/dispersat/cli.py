@@ -38,11 +38,8 @@ from .cliques import check_clique_size, opt_min_clique, opt_sum_clique
 from .dispersion import (
     disperse_weighted_min,
     gonzalez_min,
-    ppz_min_oracle,
-    ppz_seeder,
-    ppz_sum_oracle,
-    schoning_seeder,
-    schoning_sum_oracle,
+    ppz_oracle,
+    schoning_oracle,
     sum_disperse,
 )
 from .fwht import exact_diameter, exact_dispersion
@@ -55,12 +52,13 @@ from .measures import (
     min_pairwise_distance,
     sum_pairwise_distance,
 )
-from .ppz import OracleConfig, _pool, ppz_farthest_sum, ppz_solve_counted
+from .ppz import OracleConfig, ppz_solve_counted
 from .schoning import (
     BudgetPlan,
     anchored_walks,
     growth_base,
     make_plan,
+    # unused here; the benchmark tracer rebinds cli.schoning_farthest_weighted
     schoning_farthest_weighted,
     schoning_solve_counted,
 )
@@ -168,22 +166,18 @@ def _cmd_diameter(args, report):
         pair = exact_diameter(formula)
     elif args.algo == "minones":
         pair = diameter_via_min_ones(formula)
-    elif args.algo == "ppz":
-        stream = cfg.spawn(1)  # one pool: z1 is its first hit
-        z1, iterations = _pool(formula, stream).solve(formula)
-        report.counters["iterations"] = iterations
+    else:  # z1 is the oracle's seed, z2 its farthest point from z1
+        if args.algo == "ppz":
+            oracle = ppz_oracle(cfg, DispersionObjective.SUM_PD)
+        else:
+            oracle = schoning_oracle(_plan(formula, args), cfg, DispersionObjective.MIN_PD)
+        z1, iterations = oracle.seed(formula)
+        if args.algo == "ppz":
+            report.counters["iterations"] = iterations
         if z1 is None:
             report.status = "NOT_FOUND"
             return
-        z2 = ppz_farthest_sum(formula, [z1], stream)
-        pair = (z1, z2)
-    else:  # schoening
-        plan = _plan(formula, args)
-        z1, _ = schoning_solve_counted(formula, cfg.spawn(0))
-        if z1 is None:
-            report.status = "NOT_FOUND"
-            return
-        z2 = schoning_farthest_weighted(formula, [z1], 0, plan, cfg.spawn(1))
+        z2 = oracle(formula, [z1])
         pair = (z1, z2 if z2 is not None else z1)
     report.assignments = _verified_strings(formula, pair)
     report.values["distance"] = pair[0].distance(pair[1])
@@ -204,14 +198,14 @@ def _cmd_disperse(args, report):
     objective = DispersionObjective(args.objective)
     cfg = _config(args)
     kind, w = _weight_args(args)
-    weighted = args.algo == "exact" or (
-        args.algo == "schoening" and objective is DispersionObjective.MIN_PD
-    )
+    minimum = objective is DispersionObjective.MIN_PD
+    weighted = args.algo == "exact" or (args.algo == "schoening" and minimum)
     if kind is not WeightKind.NONE and not weighted:
         raise UsageError(
             "weight constraints need --algo exact, "
             "or --algo schoening with --objective min"
         )
+    oracle = None
     if args.algo == "exact":
         constraint = NO_WEIGHT if kind is WeightKind.NONE else WeightConstraint(kind, w)
         value, witness = brute_opt(formula, args.s, objective, constraint)
@@ -221,7 +215,6 @@ def _cmd_disperse(args, report):
         keys = solution_keys(formula)
         if not len(keys):
             raise UnsatError("formula has no satisfying assignment")
-        minimum = objective is DispersionObjective.MIN_PD
         # refused from the count, before one Assignment per solution exists
         check_clique_size(len(keys), args.s, minimum, not objective.distinct)
         points = [Assignment(formula.n, key) for key in keys.tolist()]
@@ -230,27 +223,22 @@ def _cmd_disperse(args, report):
         else:
             witness = opt_sum_clique(points, args.s, objective.distinct)
     elif args.algo == "ppz":
-        if objective is DispersionObjective.MIN_PD:
-            oracle = ppz_min_oracle(cfg)
-            witness = gonzalez_min(formula, args.s, oracle, ppz_seeder(cfg))
-        else:
-            oracle = ppz_sum_oracle(cfg, exclude=objective.distinct)
-            witness = sum_disperse(formula, args.s, oracle, ppz_seeder(cfg))
-        report.counters["oracle_calls"] = oracle.calls
+        oracle = ppz_oracle(cfg, objective)
     elif objective is DispersionObjective.SUM_PD_DISTINCT:  # schoening
         raise UsageError(
             "sum-distinct dispersion is available with --algo ppz, exact, fwht, or clique"
         )
     else:  # schoening
-        plan = _plan(formula, args, objective is not DispersionObjective.MIN_PD)
-        if objective is DispersionObjective.MIN_PD:
+        plan = _plan(formula, args, not minimum)
+        if minimum:
             witness = disperse_weighted_min(
                 formula, args.s, w if w is not None else 0, kind, plan, cfg
             )
         else:
-            oracle = schoning_sum_oracle(plan, cfg)
-            witness = sum_disperse(formula, args.s, oracle, schoning_seeder(cfg))
-            report.counters["oracle_calls"] = oracle.calls
+            oracle = schoning_oracle(plan, cfg, objective)
+    if oracle is not None:
+        witness = (gonzalez_min if minimum else sum_disperse)(formula, args.s, oracle)
+        report.counters["oracle_calls"] = oracle.calls
     report.assignments = _verified_strings(formula, witness.members)
     report.values["minPD"] = min_pairwise_distance(witness)
     report.values["sumPD"] = sum_pairwise_distance(witness)

@@ -1,8 +1,9 @@
 """Objective-level drivers: farthest-point insertion for min-dispersion,
 insertion plus swap local search for sum-dispersion, and the weighted
-wrappers.  Any farthest-point oracle plugs in; the seeded randomized
-oracles derive their streams per attempt, not per call, so a retry never
-replays: a PPZ driver's attempt-0 calls and seed share one stream."""
+wrapper.  Any farthest-point oracle plugs in: one `FarthestOracle` per
+algorithm carries its objective, its seed and its streams, which are
+derived per attempt, not per call, so a retry never replays; a PPZ
+oracle's seed and attempt-0 calls share one stream."""
 
 from __future__ import annotations
 
@@ -19,9 +20,12 @@ from .cnf import (
     evaluate,
 )
 from .measures import (
+    NO_WEIGHT,
+    DispersionObjective,
     SolutionCollection,
+    WeightConstraint,
     WeightKind,
-    farthest_index,
+    farthest,
     sum_distance_to,
     sum_pairwise_distance,
 )
@@ -36,68 +40,56 @@ from .schoning import (
 )
 
 MAX_RETRY_FACTOR = 3  # duplicate-rejection retries per insertion: 3 * s
+MIN_PD = DispersionObjective.MIN_PD
 
 
 @dataclass
 class FarthestOracle:
-    """A farthest-point oracle: flavor 'min' expects a distinct anchor
-    set, flavor 'sum' accepts a multiset.  `fn(formula, anchors, salt)`
-    derives its stream from `salt`, which names the attempt, not the
-    call.  Instances count their calls."""
+    """A farthest-point oracle for `objective`: MIN_PD expects a distinct
+    anchor set, the sum objectives accept a multiset, and a
+    SUM_PD_DISTINCT oracle never answers an anchor.
+    `farthest(formula, anchors, salt)` derives its stream from `salt`,
+    which names the attempt, not the call.  `seed(formula)` is (a first
+    member or None, the samples or restarts a solve drew for it; 0 when
+    the seed is not a solve).  Instances count their calls."""
 
-    flavor: str
-    fn: object
+    objective: DispersionObjective
+    farthest: object
+    seed: object
     calls: int = field(default=0)
 
     def __call__(self, formula, anchors, salt=()):
         self.calls += 1
-        return self.fn(formula, anchors, salt)
+        return self.farthest(formula, anchors, salt)
 
 
-def exact_min_oracle():
-    return FarthestOracle("min", lambda f, s, salt: farthest_min(f, s))
+def exact_oracle(objective):
+    """Exact farthest points; the seed is the smallest solution."""
+
+    def fn(f, s, salt):
+        if objective is MIN_PD:
+            return farthest_min(f, s)
+        return farthest_sum(f, s, exclude=objective.distinct)
+
+    def seed(formula):
+        keys = solution_keys(formula)[:1].tolist()
+        return (Assignment(formula.n, keys[0]) if keys else None), 0
+
+    return FarthestOracle(objective, fn, seed)
 
 
-def exact_sum_oracle(exclude=False):
-    return FarthestOracle(
-        "sum", lambda f, s, salt: farthest_sum(f, s, exclude=exclude)
-    )
-
-
-def ppz_min_oracle(cfg):
-    """Calls score the PPZ pool of stream cfg.spawn(1), but a retry (salt
-    (step, attempt >= 1)), whose pooled answer would repeat, draws anew."""
+def ppz_oracle(cfg, objective):
+    """The seed and every call score the PPZ pool of stream cfg.spawn(1),
+    whose first hit is the seed; a min retry (salt (step, attempt >= 1)),
+    whose pooled answer would repeat, draws cfg.spawn(1, step, attempt)."""
     stream = cfg.spawn(1)
-    return FarthestOracle(
-        "min",
-        lambda f, s, salt: ppz_farthest_min(
-            f, s, cfg.spawn(1, *salt) if salt and salt[-1] else stream
-        ),
-    )
 
+    def fn(f, s, salt):
+        if objective is not MIN_PD:
+            return ppz_farthest_sum(f, s, stream, exclude=objective.distinct)
+        return ppz_farthest_min(f, s, cfg.spawn(1, *salt) if salt and salt[-1] else stream)
 
-def ppz_sum_oracle(cfg, exclude=False):
-    """Every call scores the PPZ pool of stream cfg.spawn(1)."""
-    stream = cfg.spawn(1)
-    return FarthestOracle(
-        "sum", lambda f, s, salt: ppz_farthest_sum(f, s, stream, exclude=exclude)
-    )
-
-
-def schoning_min_oracle(plan, cfg):
-    return FarthestOracle(
-        "min",
-        lambda f, s, salt: schoning_farthest_weighted(
-            f, s, 0, plan, cfg.spawn(1, *salt)
-        ),
-    )
-
-
-def schoning_sum_oracle(plan, cfg):
-    return FarthestOracle(
-        "sum",
-        lambda f, s, salt: schoning_farthest_sum(f, s, plan, cfg.spawn(1, *salt)),
-    )
+    return FarthestOracle(objective, fn, lambda f: _pool(f, stream).solve(f))
 
 
 def _target_window(delta, n, w, at_least):
@@ -113,52 +105,53 @@ def _target_window(delta, n, w, at_least):
     return weight_window(delta, first)[0], weight_window(delta, last)[1]
 
 
-def schoning_weighted_min_oracle(plan, cfg, w, kind=WeightKind.AT_LEAST):
-    """Min-flavored oracle over weight-constrained solutions.
+def schoning_oracle(plan, cfg, objective, weight=NO_WEIGHT):
+    """Anchored Schoening oracles; each call reads cfg.spawn(1, *salt).
+    Without a weight the seed is the Schoening solve on cfg.spawn(0).
 
-    The exact-weight targets W' are W..n (at-least) or 1..W (at-most).
-    Every target's anchored search has the same centers, schedule and
-    plan, so one search on one stream per call keeps the farthest hit in
-    the union of the targets' (1 -+ delta) windows.  The all-zeros
-    assignment, whose exact-weight window degenerates, is tried directly
-    in the at-most sweep.
+    With a weight (MIN_PD only) the exact-weight targets W' are W..n
+    (at-least) or 1..W (at-most).  Every target's anchored search has the
+    same centers, schedule and plan, so one search per call keeps the
+    farthest hit in the union of the targets' (1 -+ delta) windows; the
+    all-zeros assignment, whose exact-weight window degenerates, is tried
+    directly in the at-most sweep.  The seed is a call with salt (0,)
+    anchored at all-zeros (at-least) or all-ones (at-most), which pushes
+    its weight toward the bound.
     """
-    at_least = kind is WeightKind.AT_LEAST
+    unweighted = weight.kind is WeightKind.NONE
+    if objective is not MIN_PD and (objective.distinct or not unweighted):
+        raise ValueError("the Schoening sum oracle takes no weight and no distinct sets")
+    if unweighted:
 
-    def fn(formula, anchors, salt):
+        def fn(f, s, salt):
+            if objective is MIN_PD:
+                return schoning_farthest_weighted(f, s, 0, plan, cfg.spawn(1, *salt))
+            return schoning_farthest_sum(f, s, plan, cfg.spawn(1, *salt))
+
+        return FarthestOracle(
+            objective, fn, lambda f: schoning_solve_counted(f, cfg.spawn(0))
+        )
+    at_least = weight.kind is WeightKind.AT_LEAST
+
+    def weighted(formula, anchors, salt):
         n = formula.n
-        window = _target_window(plan.delta, n, w, at_least)
-        out = None
+        window = _target_window(plan.delta, n, weight.w, at_least)
+        keys = []
         if window is not None:
             search, stream = _walk_search(formula, plan), cfg.spawn(1, *salt)
             out = anchored_farthest_min(n, anchors, plan, stream, window, search)
-        candidates = [] if out is None else [out]
+            keys = [] if out is None else [out.key]
         if not at_least and evaluate(formula, Assignment.zeros(n)):
-            candidates.append(Assignment.zeros(n))
-        if not candidates:
-            return None
-        keys = [z.key for z in candidates]
-        return candidates[farthest_index(keys, [a.key for a in anchors], np.min)]
+            keys.append(0)
+        return farthest(n, keys, [a.key for a in anchors], np.min)
 
-    return FarthestOracle("min", fn)
-
-
-def exact_seeder():
     def seed(formula):
-        keys = solution_keys(formula)[:1].tolist()
-        return Assignment(formula.n, keys[0]) if keys else None
+        n = formula.n
+        anchor = Assignment.zeros(n) if at_least else Assignment.ones(n)
+        return oracle(formula, [anchor], (0,)), 0
 
-    return seed
-
-
-def ppz_seeder(cfg):
-    """The first hit of the PPZ oracles' pool on stream cfg.spawn(1)."""
-    stream = cfg.spawn(1)
-    return lambda formula: _pool(formula, stream).solve(formula)[0]
-
-
-def schoning_seeder(cfg):
-    return lambda formula: schoning_solve_counted(formula, cfg.spawn(0))[0]
+    oracle = FarthestOracle(objective, weighted, seed)
+    return oracle
 
 
 def _checked(formula, members, distinct):
@@ -168,8 +161,8 @@ def _checked(formula, members, distinct):
     return SolutionCollection(members, distinct=distinct)
 
 
-def gonzalez_min(formula, s, oracle, seeder):
-    """Farthest-point insertion: a seed solution plus s-1 oracle calls.
+def gonzalez_min(formula, s, oracle):
+    """Farthest-point insertion: the oracle's seed plus s-1 oracle calls.
 
     With a (1-delta)-approximate oracle the result has
     minPD >= (1-delta)/2 * Opt-min(F, s).  Oracle outputs already in the
@@ -177,9 +170,9 @@ def gonzalez_min(formula, s, oracle, seeder):
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    if oracle.flavor != "min":
-        raise ValueError("gonzalez_min needs a min-flavored oracle")
-    seed = seeder(formula)
+    if oracle.objective is not MIN_PD:
+        raise ValueError("gonzalez_min needs a MIN_PD oracle")
+    seed, _ = oracle.seed(formula)
     if seed is None:
         raise UnsatError("no satisfying assignment found for the seed")
     members = [seed]
@@ -199,18 +192,20 @@ def gonzalez_min(formula, s, oracle, seeder):
     return _checked(formula, members, distinct=True)
 
 
-def sum_disperse(formula, s, oracle, seeder):
+def sum_disperse(formula, s, oracle):
     """Farthest insertion then swap local search for sum-dispersion.
 
     Runs at most s^2 n sweeps; a sweep replaces z by the oracle's answer
     on S minus z whenever that strictly improves the distance sum, so
-    sumPD never decreases and a no-swap sweep ends the search.
+    sumPD never decreases and a no-swap sweep ends the search.  The
+    result is a set exactly when the oracle's objective is distinct.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    if oracle.flavor != "sum":
-        raise ValueError("sum_disperse needs a sum-flavored oracle")
-    seed = seeder(formula)
+    if oracle.objective is MIN_PD:
+        raise ValueError("sum_disperse needs a sum oracle")
+    distinct = oracle.objective.distinct
+    seed, _ = oracle.seed(formula)
     if seed is None:
         raise UnsatError("no satisfying assignment found for the seed")
     members = [seed]
@@ -219,7 +214,7 @@ def sum_disperse(formula, s, oracle, seeder):
         if cand is None:
             raise PartialSetError(
                 f"oracle failed at insertion step {step}",
-                _checked(formula, members, distinct=False),
+                _checked(formula, members, distinct),
             )
         members.append(cand)
     current = sum_pairwise_distance(SolutionCollection(members, distinct=False))
@@ -246,7 +241,7 @@ def sum_disperse(formula, s, oracle, seeder):
         current = after
         if not changed:
             break
-    return _checked(formula, members, distinct=False)
+    return _checked(formula, members, distinct)
 
 
 def disperse_weighted_min(formula, s, w, kind, plan, cfg):
@@ -254,9 +249,7 @@ def disperse_weighted_min(formula, s, w, kind, plan, cfg):
 
     Both directions sweep the exact-weight target toward the bound, so
     member weights respect the (1 -+ delta) window of W; vacuous windows
-    (W=0 at-least, W=n at-most) fall back to the unweighted driver.
-    The seed maximizes (at-least) or minimizes (at-most) weight by
-    anchoring the first oracle call at the all-zeros or all-ones point.
+    (W=0 at-least, W=n at-most) fall back to the unweighted oracle.
     """
     n = formula.n
     if not 0 <= w <= n:
@@ -266,22 +259,9 @@ def disperse_weighted_min(formula, s, w, kind, plan, cfg):
         or (kind is WeightKind.AT_LEAST and w == 0)
         or (kind is WeightKind.AT_MOST and w == n)
     )
-    if vacuous:
-        oracle = schoning_min_oracle(plan, cfg)
-        seeder = schoning_seeder(cfg)
-    else:
-        oracle = schoning_weighted_min_oracle(plan, cfg, w, kind)
-        seed_anchor = (
-            Assignment.zeros(n)
-            if kind is WeightKind.AT_LEAST
-            else Assignment.ones(n)
-        )
-
-        def seeder(f):
-            return oracle(f, [seed_anchor], salt=(0,))
-
+    weight = NO_WEIGHT if vacuous else WeightConstraint(kind, w)
     try:
-        return gonzalez_min(formula, s, oracle, seeder)
+        return gonzalez_min(formula, s, schoning_oracle(plan, cfg, MIN_PD, weight))
     except (UnsatError, PartialSetError) as err:
         if vacuous:
             raise

@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cnf import check_key_width
+from .cnf import Assignment, check_key_width
 
 
 class DispersionObjective(Enum):
@@ -121,6 +121,15 @@ def farthest_index(keys, anchor_keys, reduce):
     keys = np.asarray(keys, dtype=np.int64)
     dist = popcount(keys[:, None] ^ np.asarray(anchor_keys, dtype=np.int64))
     return best_index(reduce(dist, axis=1), keys)
+
+
+def farthest(n, keys, anchor_keys, reduce):
+    """The n-bit Assignment of farthest_index's answer among `keys`,
+    None when there are no keys."""
+    keys = np.asarray(keys, dtype=np.int64)
+    if not keys.size:
+        return None
+    return Assignment(n, int(keys[farthest_index(keys, anchor_keys, reduce)]))
 
 
 def min_pairwise_distance(collection):

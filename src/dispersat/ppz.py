@@ -25,7 +25,7 @@ from .cnf import (
     condition,
     evaluate_keys,
 )
-from .measures import anchor_keys_of, farthest_index
+from .measures import anchor_keys_of, farthest, farthest_index
 
 _MASK64 = (1 << 64) - 1
 _BATCH = 1 << 13  # fixed logical batch so results never depend on scheduling
@@ -415,19 +415,13 @@ def _pool(formula, cfg):
     return pool
 
 
-def _farthest(n, keys, anchor_keys, reduce):
-    if not keys.size:
-        return None
-    return Assignment(n, int(keys[farthest_index(keys, anchor_keys, reduce)]))
-
-
 def ppz_farthest_sum(formula, anchors, cfg=OracleConfig(), exclude=False):
     """Satisfying output maximizing the distance sum to `anchors`;
     exclude=True discards outputs equal to an anchor (distinct variant)."""
     anchor_keys = anchor_keys_of(formula.n, anchors)
     reject = np.array(sorted(set(anchor_keys)), dtype=np.int64) if exclude else None
     winners = _pool(formula, cfg).winners(formula, anchor_keys, np.sum, reject)
-    return _farthest(formula.n, winners, anchor_keys, np.sum)
+    return farthest(formula.n, winners, anchor_keys, np.sum)
 
 
 def ball_radius(n, k):
@@ -484,4 +478,4 @@ def ppz_farthest_min(formula, anchors, cfg=OracleConfig()):
         keys = (anchor_keys[:, None] ^ masks[lo : lo + step]).ravel()
         hits.append(keys[evaluate_keys(formula, keys)])
     hits.append(pool.winners(formula, anchor_keys, np.min))
-    return _farthest(n, np.concatenate(hits), anchor_keys, np.min)
+    return farthest(n, np.concatenate(hits), anchor_keys, np.min)

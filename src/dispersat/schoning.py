@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ppz
 from .cnf import Assignment, CapabilityError, check_key_width, clause_masks
-from .measures import anchor_keys_of, farthest_index, popcount
+from .measures import anchor_keys_of, farthest, farthest_index, popcount
 from .ppz import packed_engine, word_for
 
 _TASK_BLOCK = 1 << 9  # anchored tasks per seeded block (seed format 2)
@@ -458,9 +458,7 @@ def _anchored_argmax(n, plan, cfg, window, centers, r_first, search, anchors, re
         out = out[hit & (window[0] <= weight) & (weight <= window[1])]
         if out.size:
             winners.append(out[farthest_index(out, anchors, reduce)])
-    if not winners:
-        return None
-    return Assignment(n, int(winners[farthest_index(winners, anchors, reduce)]))
+    return farthest(n, winners, anchors, reduce)
 
 
 def weight_window(delta, w):

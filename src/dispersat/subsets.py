@@ -25,7 +25,7 @@ from .cnf import (
     check_key_width,
 )
 from .dispersion import FarthestOracle, gonzalez_min
-from .measures import popcount
+from .measures import DispersionObjective, popcount
 from .ppz import packed_engine
 from .schoning import (
     BudgetPlan,
@@ -231,8 +231,9 @@ def diverse_min(family, s, delta, cfg):
         return anchored_farthest_min(n, anchors, plan, stream, window, search)
 
     seed = _set_to_assignment(n, witness)
+    oracle = FarthestOracle(DispersionObjective.MIN_PD, fn, lambda _: (seed, 0))
     try:
-        return gonzalez_min(formula, s, FarthestOracle("min", fn), lambda _: seed)
+        return gonzalez_min(formula, s, oracle)
     except PartialSetError as err:
         raise InfeasibleError(
             f"fewer than {s} qualifying dispersed sets found at this budget"

@@ -19,12 +19,9 @@ from dispersat.cnf import Assignment, UnsatError
 from dispersat.cliques import opt_min_clique, opt_sum_clique
 from dispersat.dispersion import (
     disperse_weighted_min,
-    exact_min_oracle,
-    exact_seeder,
-    exact_sum_oracle,
+    exact_oracle,
     gonzalez_min,
-    ppz_min_oracle,
-    ppz_seeder,
+    ppz_oracle,
     sum_disperse,
 )
 from dispersat.fwht import exact_diameter, exact_dispersion
@@ -284,7 +281,7 @@ def test_c07_gonzalez_guarantee_with_exact_oracle():
         formula = satisfiable_random(
             rng, n, 3, 3 * n, min_solutions=s, max_solutions=60
         )
-        out = gonzalez_min(formula, s, exact_min_oracle(), exact_seeder())
+        out = gonzalez_min(formula, s, exact_oracle(DispersionObjective.MIN_PD))
         opt, _ = brute_opt(formula, s, DispersionObjective.MIN_PD)
         assert 2 * min_pairwise_distance(out) >= opt
         done += 1
@@ -304,8 +301,8 @@ def test_c08_swap_guarantee_with_exact_oracle():
         formula = satisfiable_random(
             rng, n, 3, 3 * n, min_solutions=1, max_solutions=30
         )
-        oracle = exact_sum_oracle()
-        out = sum_disperse(formula, s, oracle, exact_seeder())
+        oracle = exact_oracle(DispersionObjective.SUM_PD)
+        out = sum_disperse(formula, s, oracle)
         opt, _ = brute_opt(formula, s, DispersionObjective.SUM_PD)
         assert (s + 1) * sum_pairwise_distance(out) >= (s - 1) * opt
         # oracle call count certifies round bound: insertion + sweeps
@@ -337,7 +334,7 @@ def test_c09_end_to_end_randomized_drivers():
         cfg = OracleConfig(seed=4200 + trial)
 
         out = gonzalez_min(
-            formula, s, ppz_min_oracle(cfg), ppz_seeder(cfg)
+            formula, s, ppz_oracle(cfg, DispersionObjective.MIN_PD)
         )
         if min_pairwise_distance(out) >= ppz_factor * opt:
             passes["ppz"] += 1

@@ -23,3 +23,21 @@ def test_demo_exits_cleanly(script):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_quick_start_runs():
+    """The README's "Library quick start" Python block runs as written."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().isdigit()  # the approximate minPD

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import operator
 import random
@@ -10,38 +11,44 @@ from dispersat import dispersion, schoning
 from dispersat.brute import brute_opt, enumerate_solutions
 from dispersat.cnf import Assignment, CnfFormula, PartialSetError, UnsatError, evaluate
 from dispersat.dispersion import (
+    FarthestOracle,
     _target_window,
     disperse_weighted_min,
-    exact_min_oracle,
-    exact_seeder,
-    exact_sum_oracle,
+    exact_oracle,
     gonzalez_min,
-    ppz_min_oracle,
-    ppz_seeder,
-    ppz_sum_oracle,
-    schoning_weighted_min_oracle,
+    ppz_oracle,
+    schoning_oracle,
     sum_disperse,
 )
 from dispersat.measures import (
     DispersionObjective,
     SolutionCollection,
+    WeightConstraint,
     WeightKind,
     farthest_index,
     min_pairwise_distance,
     sum_pairwise_distance,
 )
 from dispersat.generators import planted_kcnf
-from dispersat.ppz import _BATCH, OracleConfig
+from dispersat.ppz import _BATCH, OracleConfig, ppz_solve_counted
 from dispersat.schoning import (
     anchored_walks,
     make_plan,
     schoning_farthest_weighted,
+    schoning_solve_counted,
     weight_window,
 )
 
 
+MIN, SUM = DispersionObjective.MIN_PD, DispersionObjective.SUM_PD
+
+
 def A(s):
     return Assignment.from_string(s)
+
+
+def weighted_oracle(plan, cfg, w, kind=WeightKind.AT_LEAST):
+    return schoning_oracle(plan, cfg, MIN, WeightConstraint(kind, w))
 
 
 def random_formula(rng, n, k=3, m=None):
@@ -56,25 +63,32 @@ def random_formula(rng, n, k=3, m=None):
 class TestGonzalez:
     def test_pair_with_exact_oracle(self):
         f = CnfFormula(2, [(1, 2)])
-        out = gonzalez_min(f, 2, exact_min_oracle(), lambda _: A("11"))
+        oracle = dataclasses.replace(exact_oracle(MIN), seed=lambda _: (A("11"), 0))
+        out = gonzalez_min(f, 2, oracle)
         assert out.members[0] == A("11")
         assert min_pairwise_distance(out) == 1  # >= half of Opt-min = 2
 
     def test_s_one_is_just_seed(self):
         f = CnfFormula(2, [(1, 2)])
-        out = gonzalez_min(f, 1, exact_min_oracle(), exact_seeder())
+        out = gonzalez_min(f, 1, exact_oracle(MIN))
         assert out.members == (A("01"),)
 
     def test_unsat_seed(self):
         f = CnfFormula(1, [(1,), (-1,)])
         with pytest.raises(UnsatError):
-            gonzalez_min(f, 2, exact_min_oracle(), exact_seeder())
+            gonzalez_min(f, 2, exact_oracle(MIN))
 
     def test_exhausted_solutions_partial(self):
         f = CnfFormula(2, [(1,), (-2,)])  # unique solution
         with pytest.raises(PartialSetError) as err:
-            gonzalez_min(f, 3, exact_min_oracle(), exact_seeder())
+            gonzalez_min(f, 3, exact_oracle(MIN))
         assert len(err.value.partial) == 1
+
+    def test_refuses_a_sum_oracle(self):
+        f = CnfFormula(2, [(1, 2)])
+        for objective in (SUM, DispersionObjective.SUM_PD_DISTINCT):
+            with pytest.raises(ValueError, match="needs a MIN_PD oracle"):
+                gonzalez_min(f, 2, exact_oracle(objective))
 
     def test_half_optimum_with_exact_oracle(self):
         rng = random.Random(51)
@@ -86,7 +100,7 @@ class TestGonzalez:
             s = rng.randint(2, 4)
             if len(sols) < s:
                 continue
-            out = gonzalez_min(f, s, exact_min_oracle(), exact_seeder())
+            out = gonzalez_min(f, s, exact_oracle(MIN))
             opt, _ = brute_opt(f, s, DispersionObjective.MIN_PD)
             assert 2 * min_pairwise_distance(out) >= opt
             done += 1
@@ -95,9 +109,7 @@ class TestGonzalez:
         rng = random.Random(52)
         f = random_formula(rng, 8)
         if len(enumerate_solutions(f)) >= 3:
-            out = gonzalez_min(
-                f, 3, ppz_min_oracle(OracleConfig(seed=1)), ppz_seeder(OracleConfig(seed=2))
-            )
+            out = gonzalez_min(f, 3, ppz_oracle(OracleConfig(seed=1), MIN))
             assert len(out) == 3
             assert all(evaluate(f, z) for z in out)
 
@@ -119,9 +131,9 @@ class TestPpzPool:
         cfg = OracleConfig(seed=9, effort=0.6)
         monkeypatch.setattr(OracleConfig, "seed_sequence", counted)
         if driver == "gonzalez_min":
-            out = gonzalez_min(f, 3, ppz_min_oracle(cfg), ppz_seeder(cfg))
+            out = gonzalez_min(f, 3, ppz_oracle(cfg, MIN))
         else:
-            out = sum_disperse(f, 3, ppz_sum_oracle(cfg), ppz_seeder(cfg))
+            out = sum_disperse(f, 3, ppz_oracle(cfg, SUM))
         monkeypatch.undo()
         assert len(out) == 3
         blocks = [draw for draw in draws if draw[0] != cfg.seed]  # not a spawn
@@ -138,7 +150,7 @@ class TestPpzPool:
 
         monkeypatch.setattr(dispersion, "ppz_farthest_min", farthest)
         cfg = OracleConfig(seed=10)
-        oracle = ppz_min_oracle(cfg)
+        oracle = ppz_oracle(cfg, MIN)
         for salt in [(2, 0), (3, 0), (2, 1), (2, 2), (3, 1)]:
             oracle(CnfFormula(2, [(1, 2)]), [A("11")], salt=salt)
         assert streams[0] == streams[1] == cfg.spawn(1)
@@ -146,11 +158,65 @@ class TestPpzPool:
         assert streams[2] == cfg.spawn(1, 2, 1)
 
 
+class TestOracleSeeds:
+    """Each constructor decides its streams: the seed and the calls of an
+    oracle read what its algorithm's drivers read."""
+
+    def test_ppz_seed_is_the_first_hit_of_the_pool(self):
+        f = planted_kcnf(8, 3, 20, np.random.default_rng(3))[0]
+        cfg = OracleConfig(seed=3)
+        for objective in DispersionObjective:
+            assert ppz_oracle(cfg, objective).seed(f) == ppz_solve_counted(f, cfg.spawn(1))
+
+    def test_schoning_seed_is_the_solve_on_spawn_0(self):
+        f = planted_kcnf(8, 3, 20, np.random.default_rng(4))[0]
+        cfg, plan = OracleConfig(seed=4), make_plan(8, 3)
+        want = schoning_solve_counted(f, cfg.spawn(0))
+        assert want[0] is not None
+        assert schoning_oracle(plan, cfg, MIN).seed(f) == want
+        assert schoning_oracle(plan, cfg, SUM).seed(f) == want
+
+    @pytest.mark.parametrize("kind", [WeightKind.AT_LEAST, WeightKind.AT_MOST])
+    def test_weighted_seed_is_one_counted_call(self, kind):
+        f = planted_kcnf(8, 3, 20, np.random.default_rng(5))[0]
+        cfg, plan = OracleConfig(seed=5), make_plan(8, 3)
+        oracle = weighted_oracle(plan, cfg, 4, kind)
+        anchor = Assignment.zeros(8) if kind is WeightKind.AT_LEAST else Assignment.ones(8)
+        want = weighted_oracle(plan, cfg, 4, kind)(f, [anchor], (0,))
+        assert want is not None
+        assert oracle.seed(f) == (want, 0)
+        assert oracle.calls == 1
+
+    def test_schoning_sums_take_no_weight_and_no_distinct_sets(self):
+        plan, cfg = make_plan(8, 3), OracleConfig()
+        with pytest.raises(ValueError, match="Schoening sum oracle"):
+            schoning_oracle(plan, cfg, DispersionObjective.SUM_PD_DISTINCT)
+        with pytest.raises(ValueError, match="Schoening sum oracle"):
+            schoning_oracle(plan, cfg, SUM, WeightConstraint(WeightKind.AT_LEAST, 2))
+
+
 class TestSumDisperse:
     def test_exact_reaches_optimum_on_example(self):
         f = CnfFormula(2, [(1, 2)])
-        out = sum_disperse(f, 3, exact_sum_oracle(), exact_seeder())
+        out = sum_disperse(f, 3, exact_oracle(SUM))
         assert sum_pairwise_distance(out) == 4
+
+    def test_refuses_a_min_oracle(self):
+        with pytest.raises(ValueError, match="needs a sum oracle"):
+            sum_disperse(CnfFormula(2, [(1, 2)]), 2, exact_oracle(MIN))
+
+    def test_a_distinct_oracle_answering_an_anchor_is_refused(self):
+        """A sum-distinct result is checked to be a set, so an oracle that
+        breaks its contract by answering an anchor makes the driver raise."""
+        oracle = FarthestOracle(
+            DispersionObjective.SUM_PD_DISTINCT,
+            lambda f, anchors, salt: anchors[0],
+            lambda f: (A("11"), 0),
+        )
+        with pytest.raises(ValueError, match="duplicate member"):
+            sum_disperse(CnfFormula(2, [(1, 2)]), 2, oracle)
+        oracle.objective = SUM  # a multiset may repeat its members
+        assert sum_disperse(CnfFormula(2, [(1, 2)]), 2, oracle).members == (A("11"),) * 2
 
     def test_factor_bound_random(self):
         rng = random.Random(53)
@@ -161,7 +227,7 @@ class TestSumDisperse:
             if len(enumerate_solutions(f)) == 0:
                 continue
             s = 4
-            out = sum_disperse(f, s, exact_sum_oracle(), exact_seeder())
+            out = sum_disperse(f, s, exact_oracle(SUM))
             opt, _ = brute_opt(f, s, DispersionObjective.SUM_PD)
             assert (s + 1) * sum_pairwise_distance(out) >= (s - 1) * opt
             done += 1
@@ -171,8 +237,8 @@ class TestSumDisperse:
         f = random_formula(rng, 6)
         if len(enumerate_solutions(f)) == 0:
             return
-        oracle = exact_sum_oracle()
-        out = list(sum_disperse(f, 3, oracle, exact_seeder()).members)
+        oracle = exact_oracle(SUM)
+        out = list(sum_disperse(f, 3, oracle).members)
         for idx in range(len(out)):
             rest = out[:idx] + out[idx + 1 :]
             rest_coll = SolutionCollection(rest, distinct=False)
@@ -250,7 +316,7 @@ class TestWeighted:
     def test_weighted_oracle_respects_window(self):
         f = CnfFormula(4, [(1, 2, 3, 4)])
         plan = make_plan(4, 4, Fraction(1, 2), "v1")
-        oracle = schoning_weighted_min_oracle(plan, OracleConfig(seed=6, effort=4.0), 3)
+        oracle = weighted_oracle(plan, OracleConfig(seed=6, effort=4.0), 3)
         out = oracle(f, [A("1111")], salt=())
         assert out is not None
         assert out.weight() >= 1.5  # (1 - delta) * W for W' = 3
@@ -299,7 +365,7 @@ class TestFusedWeightSweep:
             cfg = OracleConfig(seed=rng.randrange(2**32))
             salt = (rng.randint(2, 4), rng.randint(0, 5))
             want, none = self.per_target_loop(plan, cfg, w, kind, f, anchors, salt)
-            got = schoning_weighted_min_oracle(plan, cfg, w, kind)(f, anchors, salt)
+            got = weighted_oracle(plan, cfg, w, kind)(f, anchors, salt)
             assert got == want
             answers += want is not None
             all_none += none
@@ -350,5 +416,5 @@ class TestFusedWeightSweep:
         planned = anchored_walks(plan, cfg.effort, len(anchors) + 1)
         for w in range(1, n + 1):
             walked.clear()
-            assert schoning_weighted_min_oracle(plan, cfg, w, kind)(f, anchors) is None
+            assert weighted_oracle(plan, cfg, w, kind)(f, anchors) is None
             assert sum(walked) == planned

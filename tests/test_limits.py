@@ -13,7 +13,7 @@ import dispersat
 from dispersat import schoning, subsets
 from dispersat.brute import enumerate_solutions
 from dispersat.cnf import Assignment, CapabilityError, CnfFormula
-from dispersat.dispersion import gonzalez_min, ppz_min_oracle, ppz_seeder
+from dispersat.dispersion import gonzalez_min, ppz_oracle
 from dispersat.fwht import exact_diameter, exact_dispersion
 from dispersat.generators import planted_kcnf, random_kcnf
 from dispersat.measures import DispersionObjective
@@ -73,7 +73,7 @@ ENTRY_POINTS = {
     "sample_annulus": lambda: sample_annulus(TOP, 1, 2, _rng()),
     "schoning_walk": lambda: schoning_walk(F64, TOP, 5, _rng()),
     "gonzalez_min_ppz": lambda: gonzalez_min(
-        F64, 2, ppz_min_oracle(CFG), ppz_seeder(CFG)
+        F64, 2, ppz_oracle(CFG, DispersionObjective.MIN_PD)
     ),
     "diverse_min": lambda: diverse_min(
         SetFamily.from_lists(64, [(1, 2), (3, 64)]),

@@ -12,10 +12,10 @@ import pytest
 
 from dispersat.brute import enumerate_solutions, farthest_min
 from dispersat.cnf import Assignment, CapabilityError, CnfFormula, evaluate
-from dispersat.dispersion import schoning_weighted_min_oracle
+from dispersat.dispersion import schoning_oracle
 from dispersat.generators import planted_kcnf
 from dispersat import ppz, schoning
-from dispersat.measures import WeightKind
+from dispersat.measures import DispersionObjective, WeightConstraint, WeightKind
 from dispersat.ppz import OracleConfig
 from dispersat.schoning import (
     BudgetPlan,
@@ -661,11 +661,16 @@ class TestWalkEngine:
 
         def outputs(f, a, p, c):
             f = CnfFormula(f.n, f.clauses)  # no cached engine
+
+            def weighted(kind, w):
+                weight = WeightConstraint(kind, w)
+                return schoning_oracle(p, c, DispersionObjective.MIN_PD, weight)(f, a)
+
             return (
                 schoning_farthest_weighted(f, a, 4, p, c),
                 schoning_farthest_sum(f, a, p, c),
-                schoning_weighted_min_oracle(p, c, 4, WeightKind.AT_LEAST)(f, a),
-                schoning_weighted_min_oracle(p, c, 5, WeightKind.AT_MOST)(f, a),
+                weighted(WeightKind.AT_LEAST, 4),
+                weighted(WeightKind.AT_MOST, 5),
             )
 
         def covers(seed):
