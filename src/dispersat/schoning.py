@@ -233,14 +233,19 @@ class _Walker:
             keep = (np.arange(len(node)) < cut[task]) & (depth < t[task])
             if not keep.any():
                 return out, hit
-            node, task, first = node[keep], task[keep], first[keep]
-            if (count := int(self.width[first].sum())) > _LEVEL_NODES:
-                raise CapabilityError(
-                    f"the extension search's level {depth + 1} would hold "
-                    f"{count} nodes, above the cap of {_LEVEL_NODES}"
-                )
-            row, pick = np.nonzero(self.lits[first])  # rows are 0-padded
-            node, task = node[row] | self.lits[first[row], pick], task[row]
+            node, row = self._children(node[keep], first[keep], depth + 1)
+            task = task[keep][row]
+
+    def _children(self, node, first, depth):
+        """(children, parent index) of `node`, whose first violated clauses
+        are `first`: level `depth`, refused above _LEVEL_NODES nodes."""
+        if (count := int(self.width[first].sum())) > _LEVEL_NODES:
+            raise CapabilityError(
+                f"the extension search's level {depth} would hold "
+                f"{count} nodes, above the cap of {_LEVEL_NODES}"
+            )
+        row, pick = np.nonzero(self.lits[first])  # rows are 0-padded
+        return node[row] | self.lits[first[row], pick], row
 
 
 def schoning_walk(formula, z, steps, rng):

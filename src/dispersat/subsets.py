@@ -5,7 +5,7 @@ approximately-minimum hitting sets.
 Subsets of the ground set [n] double as hypercube points, and the
 hitting-set reduction keeps their weights and distances, so the whole
 dispersion machinery carries over.  One extension search on the
-reduction's walk engine serves the OPT deepening and the anchored search.
+reduction's walk engine serves the OPT pass and the anchored search.
 """
 
 from __future__ import annotations
@@ -195,11 +195,16 @@ def _assignment_to_set(z):
 
 
 def minimum_feasible_weight(family):
-    """Smallest hitting-set size, by deepening the extension search."""
-    for t in range(family.n + 1):
-        found = hitting_set_monotone_search(family, frozenset(), t)
-        if found is not None:
-            return len(found), found
+    """(OPT, hitting_set_monotone_search(family, frozenset(), OPT)): one
+    level-wise pass from the empty set, stopped at the first level that
+    holds a hitting set, whose first one in preorder it returns."""
+    walker = packed_engine(_reduction(family), _Walker)  # checks the key width
+    node = np.zeros(1, dtype=walker.word)
+    for depth in range(family.n + 1):
+        first = walker.first_violated(node)
+        if (hits := node[first == len(walker.var)]).size:
+            return depth, _assignment_to_set(Assignment(family.n, int(hits[0])))
+        node = walker._children(node, first, depth + 1)[0]
     raise UnsatError("the family has no hitting set")
 
 
@@ -216,7 +221,7 @@ def diverse_min(family, s, delta, cfg):
     if s < 1:
         raise ValueError("s must be >= 1")
     n = family.n
-    check_key_width(n)  # before the deepening, which grows as d^OPT
+    check_key_width(n)  # before the OPT search, whose levels grow as d^depth
     delta = Fraction(delta)
     plan = BudgetPlan(n, delta, 1, max(family.d, 2))
     if s > 1:

@@ -241,7 +241,7 @@ class TestTooLarge:
         assert "s must be >= 3 (use the pairwise maximum for s=2)" in captured.err
 
     def test_diverse_min_deepening_refused_on_a_60_vertex_path(self, tmp_path, capsys):
-        """With s = 1 no anchored search runs; the OPT deepening (OPT = 30)
+        """With s = 1 no anchored search runs; the OPT search (OPT = 30)
         is refused at its first level above schoning._LEVEL_NODES."""
         path = tmp_path / "path60.txt"
         path.write_text("60 59\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 60)))

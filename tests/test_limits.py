@@ -125,7 +125,8 @@ def test_packed_extension_search_refuses_64_bits():
 
 
 def test_diverse_min_refuses_64_bits_before_the_deepening(monkeypatch):
-    """A 64-vertex path has OPT = 32; its deepening would take hours."""
+    """A 64-vertex path has OPT = 32; its keys do not fit an int64, so
+    the OPT search must not start."""
 
     def deepen(family):
         raise AssertionError("the deepening ran before the key-width check")
@@ -154,7 +155,7 @@ def test_no_assert_statements():
 
 def test_diverse_min_checks_the_anchored_cap_before_the_deepening(monkeypatch):
     """A 36-vertex path plans more anchored walks than the cap allows, so
-    it is refused before its OPT deepening (seconds at this size) runs."""
+    it is refused before its OPT search runs."""
 
     def deepen(family):
         raise AssertionError("the deepening ran before the anchored cap check")
@@ -177,17 +178,26 @@ TWO_LEVELS = SetFamily.from_lists(5, [[1, 2, 3], [4, 5]])
         (5, 2, "level 2 would hold 6 nodes, above the cap of 5"),
         (3, 1, None),
         (2, 1, "level 1 would hold 3 nodes, above the cap of 2"),
+        (6, None, (2, {1, 4})),
+        (5, None, "level 2 would hold 6 nodes, above the cap of 5"),
     ],
 )
 def test_extension_search_refuses_a_level_above_the_cap(monkeypatch, cap, t, expected):
     """A level of exactly schoning._LEVEL_NODES nodes is built; one node
-    more is refused."""
+    more is refused, by the one-task search and (t = None) by the OPT
+    pass."""
     monkeypatch.setattr(schoning, "_LEVEL_NODES", cap)
+
+    def search():
+        if t is None:
+            return subsets.minimum_feasible_weight(TWO_LEVELS)
+        return hitting_set_monotone_search(TWO_LEVELS, frozenset(), t)
+
     if isinstance(expected, str):
         with pytest.raises(CapabilityError, match=expected):
-            hitting_set_monotone_search(TWO_LEVELS, frozenset(), t)
+            search()
     else:
-        assert hitting_set_monotone_search(TWO_LEVELS, frozenset(), t) == expected
+        assert search() == expected
 
 
 def test_extension_search_refuses_before_building_the_level(monkeypatch):

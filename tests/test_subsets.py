@@ -10,7 +10,7 @@ import pytest
 
 from dispersat import schoning, subsets
 from dispersat.brute import enumerate_solutions
-from dispersat.cnf import ParseError
+from dispersat.cnf import ParseError, UnsatError
 from dispersat.measures import min_pairwise_distance
 from dispersat.ppz import OracleConfig
 from dispersat.subsets import (
@@ -340,6 +340,40 @@ class TestPlfs:
         fam = SetFamily.from_lists(5, [[1, 2, 3], [3, 4, 5]])
         opt, witness = minimum_feasible_weight(fam)
         assert opt == 1 and witness == {3}
+
+    def test_min_weight_is_the_first_depth_with_a_hit(self):
+        """OPT is the smallest t at which the recursive search from the
+        empty set finds a hitting set, and the witness is what it finds."""
+        rng = random.Random(65)
+        families = [SetFamily.from_lists(0, [])]
+        families += [odd_family(rng, rng.randint(1, 12)) for _ in range(80)]
+        for family in families:
+            for t in range(family.n + 1):
+                want = reference_search.hitting_set_monotone_search(family, frozenset(), t)
+                if want is not None:
+                    break
+            assert minimum_feasible_weight(family) == (t, want)
+
+    def test_min_weight_of_a_family_with_an_empty_set(self):
+        family = SetFamily(4, (frozenset({1, 2}), frozenset()))
+        with pytest.raises(UnsatError, match="^the family has no hitting set$"):
+            minimum_feasible_weight(family)
+
+    def test_min_weight_builds_each_level_once(self, monkeypatch):
+        """On a 20-vertex path (OPT = 10) the one pass tests levels 0..10
+        once each: 11 calls, where deepening over t = 0..10 makes 66."""
+        calls = []
+        real = schoning._Walker.first_violated
+
+        def counted(self, x):
+            calls.append(len(x))
+            return real(self, x)
+
+        monkeypatch.setattr(schoning._Walker, "first_violated", counted)
+        path = SetFamily.from_lists(20, [[v, v + 1] for v in range(1, 20)])
+        opt, witness = minimum_feasible_weight(path)
+        assert opt == 10 and all(s & witness for s in path.sets)
+        assert len(calls) == 11
 
 
 class TestDiverseMin:
