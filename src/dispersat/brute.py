@@ -16,6 +16,7 @@ from .cnf import (
     CapabilityError,
     InfeasibleError,
     UnsatError,
+    clause_masks,
     evaluate_keys,  # unused here; the benchmark tracer rebinds brute.evaluate_keys
     rotate,
     solution_indicator,
@@ -25,24 +26,56 @@ from .measures import anchor_keys_of, best_index, farthest, popcount
 
 ENUMERATION_LIMIT = 24  # 16M assignments; `enumerate --limit` may raise it
 CLIQUE_BLOCK_LIMIT = 1 << 24  # int64 entries of a distance or part-pair block
+_FRONTIER_SHIFT = 4  # past 2^n >> 4 live prefixes the 2^n indicator is cheaper
+_CLAUSE_SHIFT = 9  # one clause's prefix test costs about 2^9 indicator entries
+
+
+def _prefix_keys(formula):
+    """Ascending solution keys grown by prefix over variables 1..n: each
+    clause whose last variable is j drops the prefixes it falsifies by its
+    `clause_masks` test shifted right by n - j.  `solution_indicator` is read
+    for an empty clause, when 2^n is small, or once the frontier is large."""
+    n, clauses = formula.n, formula.clauses
+    if () not in clauses and len(clauses) << _CLAUSE_SHIFT < 1 << n:
+        pos, neg = clause_masks(formula)
+        tests = [[] for _ in range(n + 1)]
+        for clause, g, v in zip(clauses, neg.tolist(), (pos | neg).tolist()):
+            tests[abs(clause[-1])].append((g, v))
+        keys = np.zeros(1, dtype=np.int64)
+        for j in range(1, n + 1):
+            keys = (keys[:, None] << 1 | (0, 1)).reshape(-1)
+            for g, v in tests[j]:
+                keys = keys[(keys ^ g >> (n - j)) & (v >> (n - j)) != 0]
+            if keys.size > (1 << n) >> _FRONTIER_SHIFT:
+                break
+        else:
+            return keys
+    return np.flatnonzero(solution_indicator(formula)).astype(np.int64, copy=False)
 
 
 def solution_keys(formula, limit=None):
-    """Keys of all satisfying assignments, ascending, as a read-only
-    int64 array built once per formula; `limit` (ENUMERATION_LIMIT by
-    default) is checked on every call."""
+    """Ascending keys of all satisfying assignments, a read-only int64 array
+    built once per formula; `limit` (default ENUMERATION_LIMIT) is checked each call."""
+    return _solution_space(formula, limit)[0]
+
+
+def _solution_space(formula, limit=None):
+    """(keys, bits, base): `solution_keys`, the coordinates they disagree
+    on, increasing, and the key of the bits they share; cached together."""
     limit = ENUMERATION_LIMIT if limit is None else limit
     if formula.n > limit:
         raise CapabilityError(
             f"n={formula.n} exceeds enumeration limit {limit}; only "
             "`enumerate --limit` can raise it"
         )
-    keys = vars(formula).get("_solution_keys")
-    if keys is None:
-        keys = np.flatnonzero(solution_indicator(formula)).astype(np.int64, copy=False)
+    space = vars(formula).get("_solution_space")
+    if space is None:
+        keys = _prefix_keys(formula)
         keys.flags.writeable = False
-        formula._solution_keys = keys
-    return keys
+        base = int(np.bitwise_and.reduce(keys)) if keys.size else 0
+        free = int(np.bitwise_or.reduce(keys)) ^ base
+        space = formula._solution_space = keys, [b for b in range(formula.n) if free >> b & 1], base
+    return space
 
 
 def enumerate_solutions(formula, limit=None):

@@ -1,17 +1,18 @@
 """Exact diameter and exact s-dispersion through Walsh-Hadamard
-XOR convolution.
+XOR convolution, and the diameter of a sparse space from its keys.
 
-The indicator vector of the solution space (`indicator_table`, built by
-clearing the subcube each clause falsifies) is convolved with itself, or
-with products of shifted copies of itself; a positive entry at
-difference vector y certifies a solution pair (tuple) realizing y.
-A coordinate on which every solution agrees adds 0 to every distance,
-so both exact entry points first project the 2^n indicator onto the n'
-coordinates the solutions disagree on (`_project`), run every transform
-on that table of 2^n' entries, and put the constant bits back into the
-witness (`_expand`).  The projection keeps key order, on solutions and
-on differences, so every tie rule picks the witness it would pick over
-all 2^n entries.
+Both exact entry points read the ascending solution keys that `brute`
+caches with their projection: the n' coordinates the solutions disagree
+on, and the bits they share.  A sparse space takes its diameter from the
+key pairs (`_list_diameter`).  Otherwise the indicator vector of the
+solution space (`indicator_table`) is convolved with itself, or with
+products of shifted copies of itself; a positive entry at difference
+vector y certifies a solution pair (tuple) realizing y.  A coordinate on
+which every solution agrees adds 0 to every distance, so every transform
+runs on the indicator's slice of 2^n' entries (`_project`), and the
+constant bits go back into the witness (`_expand`).  The projection
+keeps key order, on solutions and on differences, so every tie rule
+picks the witness it would pick over all 2^n entries.
 Arithmetic is exact integer arithmetic, since the positivity test must
 not round.  `fwht` and `convolve` work in the word their caller passes;
 the one word rule, `_word`, picks int32 when 2^n times the largest count
@@ -22,11 +23,10 @@ intermediate values cannot change a final entry that fits the word.  A
 0/1 table's transform, at most 2^26 in size, is always taken in int32
 and widened after.
 
-Memory is the bool indicator of 2^n entries plus a few tables of 2^n'
-entries (at most 8 * 2^n' bytes each) and, in `exact_dispersion`, one
-chunk of stacked tables; `indicator_table`, which both exact entry
-points build first, refuses an n above its limit with CapabilityError
-before allocating.
+Memory is the keys, the bool indicator of 2^n entries where a route
+builds it, and a few tables of 2^n' entries (at most 8 * 2^n' bytes
+each) or, in `exact_dispersion`, one chunk of stacked tables.  An n
+above FWHT_LIMIT is refused with CapabilityError before any of it.
 """
 
 from __future__ import annotations
@@ -35,32 +35,39 @@ from itertools import combinations, islice, product
 
 import numpy as np
 
+from .brute import _solution_space
 from .cnf import (
     Assignment,
     CapabilityError,
     InfeasibleError,
     UnsatError,
     evaluate_keys,  # unused here; the benchmark tracer rebinds fwht.evaluate_keys
-    solution_indicator,
 )
 from .measures import DispersionObjective, SolutionCollection, popcount
 
 FWHT_LIMIT = 26
 DISPERSION_WORK_LIMIT = 24  # cap on (s-1)*n
 _CHUNK_ENTRIES = 1 << 17  # entries per live table of an offset chunk
+_ROW_ENTRIES = 1 << 15  # int64 entries (256 KB) per temporary of the list diameter
 
 
-def indicator_table(formula, tables=1):
-    """The bool solution indicator of `formula`.  An n above FWHT_LIMIT is
-    refused first, before anything is allocated; the message gives the
-    bytes `tables` live tables of 2^n entries would take in int64."""
-    n = formula.n
-    if n > FWHT_LIMIT:
+def _space(formula, tables):
+    """`_solution_space`, after refusing an n above FWHT_LIMIT; the message
+    gives the bytes `tables` int64 tables of 2^n entries would take."""
+    if (n := formula.n) > FWHT_LIMIT:
         raise CapabilityError(
             f"n={n} exceeds FWHT limit {FWHT_LIMIT}: {tables} live int64 "
             f"table(s) of 2^{n} entries would take {tables * 8 << n} bytes"
         )
-    return solution_indicator(formula)
+    return _solution_space(formula, FWHT_LIMIT)
+
+
+def indicator_table(formula, tables=1):
+    """The bool solution indicator of `formula`, set at its solution keys."""
+    keys = _space(formula, tables)[0]
+    fb = np.zeros(1 << formula.n, dtype=bool)
+    fb[keys] = True
+    return fb
 
 
 def _word(n, largest):
@@ -68,33 +75,16 @@ def _word(n, largest):
     return np.int32 if largest * (1 << n) < 2**31 else np.int64
 
 
-def _project(fb):
-    """The solution indicator `fb` of 2^n entries restricted to the n'
-    coordinates on which the solutions disagree, as (table, bits, base):
-    the table of 2^n' entries, the coordinates it keeps in increasing
-    order, and the key of the constant bits.  The table is the slice of
-    `fb` that fixes every constant coordinate to its bit in `base`, so
-    it keeps key order, and with no constant coordinate it is `fb`."""
+def _project(fb, bits, base):
+    """The slice of the 2^n table `fb` that fixes each coordinate outside
+    `bits` to its bit in `base`, in key order; `fb` itself if none is."""
     n = len(fb).bit_length() - 1
-    # fold the table in half on each coordinate, the top one first: a
-    # solution in the low (high) half has that bit 0 (1)
-    zeros = ones = 0
-    seen = fb
-    for bit in range(n - 1, -1, -1):
-        low, high = seen.reshape(2, -1)
-        zeros |= int(low.any()) << bit
-        ones |= int(high.any()) << bit
-        seen = low | high
-    free = zeros & ones
-    base = ones ^ free
     # axis a of the (2,)*n view is coordinate n-1-a; the trailing
     # Ellipsis keeps a 0-d view, not a scalar, when every axis is fixed
     axes = tuple(
-        slice(None) if free >> bit & 1 else base >> bit & 1
-        for bit in range(n - 1, -1, -1)
+        slice(None) if bit in bits else base >> bit & 1 for bit in range(n - 1, -1, -1)
     )
-    bits = [bit for bit in range(n) if free >> bit & 1]
-    return fb.reshape((2,) * n)[(*axes, ...)].reshape(-1), bits, base
+    return fb.reshape((2,) * n)[(*axes, ...)].reshape(-1)
 
 
 def _expand(key, bits, base):
@@ -151,25 +141,44 @@ def convolve(f, word, ghat=None):
     return back
 
 
-def exact_diameter(formula):
-    """A solution pair at exactly the diameter of the solution space.
+def _pair(keys, y):
+    """The first x of the ascending `keys` with x ^ y among them, and x ^ y."""
+    x = int(keys[np.argmax(np.isin(keys ^ y, keys))])
+    return x, x ^ y
 
-    Among positive entries of the self-convolution, the maximum-weight
-    difference vector wins, ties going to the lexicographically
-    smallest; the witness is the first x with f(x) = f(x xor y) = 1.
-    """
-    fb = indicator_table(formula, 4)
-    num_solutions = int(np.count_nonzero(fb))
-    if num_solutions == 0:
-        raise UnsatError("formula has no satisfying assignment")
-    fb, bits, base = _project(fb)
-    conv = convolve(fb, _word(len(bits), num_solutions))
+
+def _fwht_diameter(formula, keys, bits, base):
+    """The diameter pair at the heaviest difference with a positive entry
+    in the projected self-convolution, ties going to the smallest."""
+    fb = _project(indicator_table(formula, 4), bits, base)
+    conv = convolve(fb, _word(len(bits), len(keys)))
     if (conv < 0).any():
         raise AssertionError("pair counts must be nonnegative")
     positive = np.flatnonzero(conv)
-    y = int(positive[np.argmax(popcount(positive))])
-    x = int(np.argmax(fb & fb[np.arange(len(fb)) ^ y]))
-    return tuple(Assignment(formula.n, _expand(key, bits, base)) for key in (x, x ^ y))
+    return _pair(keys, _expand(int(positive[np.argmax(popcount(positive))]), bits, 0))
+
+
+def _list_diameter(formula, keys, bits, base):
+    """`_fwht_diameter`'s pair from key pairs in blocks of _ROW_ENTRIES: y
+    of weight w scores w 2^n - y, so the heaviest y wins, then the smallest."""
+    n, best = formula.n, -1
+    rows = max(1, _ROW_ENTRIES // len(keys))
+    for lo in range(0, len(keys), rows):
+        diffs = keys[lo : lo + rows, None] ^ keys[lo:]
+        best = max(best, int(((popcount(diffs) << n) - diffs).max()))
+    return _pair(keys, -best & ((1 << n) - 1))
+
+
+def exact_diameter(formula):
+    """A solution pair at exactly the diameter of the solution space: the
+    heaviest difference y, then the smallest, and the first solution x with
+    x xor y one; by cost, from |Omega|^2 key pairs (`_list_diameter`) or
+    n' 2^n' transform entries (`_fwht_diameter`)."""
+    keys, bits, base = _space(formula, 4)
+    if not keys.size:
+        raise UnsatError("formula has no satisfying assignment")
+    route = _fwht_diameter if len(keys) ** 2 > len(bits) << len(bits) else _list_diameter
+    return tuple(Assignment(formula.n, key) for key in route(formula, keys, bits, base))
 
 
 def _pair_distances(offsets, pc):
@@ -177,7 +186,7 @@ def _pair_distances(offsets, pc):
     the points (0, w_1, ..., w_{s-2}); no pairs when s = 2."""
     points = [np.zeros(len(offsets), dtype=np.int64), *offsets.T]
     dists = [pc[a ^ b] for a, b in combinations(points, 2)]
-    return np.array(dists, dtype=np.int64).reshape(-1, len(offsets))
+    return np.array(dists, dtype=pc.dtype).reshape(-1, len(offsets))
 
 
 def _chunk_values(fb, fhat, offsets, fold, distinct, idx, pc):
@@ -230,19 +239,17 @@ def exact_dispersion(formula, s, objective):
         raise CapabilityError(
             f"(s-1)*n = {(s - 1) * n} exceeds work limit {DISPERSION_WORK_LIMIT}"
         )
-    fb = indicator_table(formula, 8)
-    num_solutions = int(np.count_nonzero(fb))
-    if num_solutions == 0:
+    keys, bits, base = _space(formula, 8)
+    if not keys.size:
         raise UnsatError("formula has no satisfying assignment")
     distinct = objective.distinct
-    if distinct and num_solutions < s:
-        raise InfeasibleError(
-            f"only {num_solutions} solutions, need a set of {s}"
-        )
-    fb, bits, base = _project(fb)
+    if distinct and keys.size < s:
+        raise InfeasibleError(f"only {keys.size} solutions, need a set of {s}")
+    fb = _project(indicator_table(formula, 8), bits, base)
     idx = np.arange(len(fb))
-    pc = popcount(idx)
-    fhat = fwht(fb, _word(len(bits), num_solutions))
+    # every folded value is at most n' floor(s^2/4) <= 156 under the work limit
+    pc = np.bitwise_count(idx).astype(np.int16)
+    fhat = fwht(fb, _word(len(bits), keys.size))
     # s = 2 has the one empty tuple and needs no difference set
     diffs = np.flatnonzero(convolve(fb, fhat.dtype)).tolist() if s > 2 else []
     tuples = product(diffs, repeat=s - 2)

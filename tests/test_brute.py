@@ -4,8 +4,10 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 import pytest
 
+import dispersat.brute as brute_module
 from dispersat.brute import (
     _best_tuple,
+    _solution_space,
     brute_opt,
     diameter_via_min_ones,
     distance_matrix,
@@ -22,7 +24,9 @@ from dispersat.cnf import (
     InfeasibleError,
     UnsatError,
     evaluate_keys,
+    solution_indicator,
 )
+from dispersat.generators import planted_kcnf
 from dispersat.measures import (
     DispersionObjective,
     WeightConstraint,
@@ -98,6 +102,94 @@ class TestEnumerate:
             solution_keys(f, limit=4)
         with pytest.raises(CapabilityError, match="n=5 exceeds enumeration limit 4"):
             enumerate_solutions(f, limit=4)
+
+
+def _enumeration_cases():
+    """Formulas for the prefix enumerator: n = 0, no clauses and an empty
+    clause, unit-clause backbones, a dense space, and random and planted
+    k-CNF up to n = 20."""
+    rng = random.Random(41)
+    nrng = np.random.default_rng(41)
+    cases = [
+        CnfFormula(0, []),
+        CnfFormula(0, [()]),
+        CnfFormula(3, [(1, 2), ()]),
+        CnfFormula(9, []),
+        CnfFormula(6, [(1, 2), (-3, 4)]),
+        CnfFormula(8, [(1,), (-3,), (8,)]),
+        CnfFormula(7, [(v if v % 2 else -v,) for v in range(1, 8)]),
+    ]
+    for n in (4, 8, 12, 16, 20):
+        for k in (2, 3, 4):
+            cases.append(random_formula(rng, n, k=k, m=rng.randint(n, 4 * n)))
+            planted, (z,) = planted_kcnf(n, k, rng.randint(2 * n, 5 * n), nrng)
+            units = [(v if z.bit(v) else -v,) for v in rng.sample(range(1, n + 1), n // 4)]
+            cases += [planted, CnfFormula(n, list(planted.clauses) + units)]
+    return cases
+
+
+class TestPrefixEnumeration:
+    """`solution_keys` grows prefixes while few live and builds the 2^n
+    indicator past its frontier cap; both sides give the indicator's keys
+    and the same projection."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """How many `solution_indicator` tables the enumerator built."""
+        calls = []
+
+        def spy(formula):
+            calls.append(formula.n)
+            return solution_indicator(formula)
+
+        monkeypatch.setattr(brute_module, "solution_indicator", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "clause_shift, frontier_shift, side",
+        [(0, 0, "grown"), (0, 99, "indicator"), (None, None, "default")],
+    )
+    def test_keys_match_the_indicator(self, monkeypatch, built, clause_shift, frontier_shift, side):
+        if clause_shift is not None:
+            monkeypatch.setattr(brute_module, "_CLAUSE_SHIFT", clause_shift)
+            monkeypatch.setattr(brute_module, "_FRONTIER_SHIFT", frontier_shift)
+        sides = set()
+        for f in _enumeration_cases():
+            before = len(built)
+            keys, bits, base = _solution_space(f)
+            took = len(built) > before
+            sides.add(took)
+            # an empty clause has no last variable, and at n = 0 there is
+            # no level at which to pass the cap
+            if side == "grown":
+                assert took == (() in f.clauses or len(f.clauses) >= 1 << f.n)
+            elif side == "indicator":
+                assert took == (() in f.clauses or f.n > 0)
+            expected = np.flatnonzero(solution_indicator(f))
+            assert keys.dtype == np.int64
+            assert keys.tolist() == expected.tolist()
+            if expected.size:
+                common = int(np.bitwise_and.reduce(expected))
+                free = int(np.bitwise_or.reduce(expected)) ^ common
+                assert (bits, base) == ([b for b in range(f.n) if free >> b & 1], common)
+        assert sides == {False, True}
+
+    def test_cached_read_only_and_limit_checked_each_call(self, built):
+        f = CnfFormula(14, [(1, 2, 3), (-4, 5), (6,)])
+        space = _solution_space(f)
+        tables = len(built)
+        assert _solution_space(f) is space
+        assert solution_keys(f) is space[0]
+        assert not space[0].flags.writeable
+        with pytest.raises(ValueError):
+            space[0][0] = 0
+        for limit in (13, 0):
+            with pytest.raises(CapabilityError, match=f"n=14 exceeds enumeration limit {limit}"):
+                solution_keys(f, limit=limit)
+            with pytest.raises(CapabilityError, match=f"n=14 exceeds enumeration limit {limit}"):
+                _solution_space(f, limit)
+        assert solution_keys(f, limit=14) is space[0]
+        assert len(built) == tables <= 1
 
 
 class TestBruteOpt:

@@ -1,13 +1,13 @@
 import importlib
 import random
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 import dispersat
 import dispersat.fwht as fwht_module
-from dispersat.brute import brute_opt, enumerate_solutions
+from dispersat.brute import _solution_space, brute_opt, enumerate_solutions, solution_keys
 from dispersat.cnf import (
     Assignment,
     CapabilityError,
@@ -25,9 +25,11 @@ from dispersat.fwht import (
     fwht,
     indicator_table,
 )
+from dispersat.generators import planted_kcnf
 from dispersat.measures import (
     DispersionObjective,
     min_pairwise_distance,
+    popcount,
     sum_pairwise_distance,
 )
 
@@ -211,6 +213,53 @@ def _brute_diameter_pair(formula):
     return x, x ^ y
 
 
+class TestDiameterRoutes:
+    def _cases(self):
+        """Random, planted and backboned formulas at n = 1..16, sparse to
+        dense."""
+        rng = random.Random(23)
+        nrng = np.random.default_rng(23)
+        cases = []
+        for n in range(1, 17):
+            cases.append(random_formula(rng, n, k=rng.choice([2, 3]), m=rng.randint(0, 3 * n)))
+            planted, (z,) = planted_kcnf(n, 3, rng.randint(n, 5 * n), nrng)
+            units = [(v if z.bit(v) else -v,) for v in rng.sample(range(1, n + 1), rng.randint(0, n // 2))]
+            cases += [planted, CnfFormula(n, list(planted.clauses) + units)]
+        return [f for f in cases if solution_keys(f).size]
+
+    def test_routes_agree(self, monkeypatch):
+        """The list route gives the FWHT route's pair, also when its row
+        blocks hold one row or a few entries."""
+        cases = self._cases()
+        routes = set()
+        for f in cases:
+            keys, bits, base = space = _solution_space(f)
+            pair = fwht_module._fwht_diameter(f, *space)
+            assert fwht_module._list_diameter(f, *space) == pair
+            z1, z2 = exact_diameter(f)
+            assert (z1.key, z2.key) == pair
+            routes.add(len(keys) ** 2 > len(bits) << len(bits))
+        assert routes == {False, True}
+        for entries in (1, 7):
+            monkeypatch.setattr(fwht_module, "_ROW_ENTRIES", entries)
+            for f in cases[::3]:
+                space = _solution_space(f)
+                assert fwht_module._list_diameter(f, *space) == fwht_module._fwht_diameter(f, *space)
+
+    def test_route_follows_the_cost(self, convolutions):
+        """|Omega|^2 key pairs against n' 2^n' transform entries: a sparse
+        n = 18 planted space convolves nothing, a dense one convolves once."""
+        sparse, _ = planted_kcnf(18, 3, 72, np.random.default_rng(101))
+        keys, bits, _ = _solution_space(sparse)
+        assert len(keys) ** 2 < len(bits) << len(bits)
+        z1, z2 = exact_diameter(sparse)
+        assert convolutions == []
+        assert (z1.key, z2.key) == _brute_diameter_pair(sparse)
+        dense = CnfFormula(18, [(1, 2), (-3, 4)])
+        exact_diameter(dense)
+        assert [size for size, _ in convolutions] == [1 << 18]
+
+
 class TestWord:
     def test_boundary(self):
         # 2^18 * 8191 = 2^31 - 2^18 fits int32; 2^18 * 8192 = 2^31 does not
@@ -275,6 +324,31 @@ class TestExactDispersion:
         with pytest.raises(CapabilityError):
             exact_dispersion(CnfFormula(20, []), 4, DispersionObjective.SUM_PD)
 
+    @pytest.mark.parametrize("s, n", [(3, 12), (4, 8)])
+    def test_int16_values_at_the_work_limit(self, monkeypatch, s, n):
+        """Under DISPERSION_WORK_LIMIT no folded value exceeds
+        n floor(s^2/4) (a coordinate on which c of the s points are 1 adds
+        c (s - c)), at most 156 over every allowed (s, n), so the value
+        tables are int16.  At (s-1) n = 24 the all-true formula reaches
+        the bound, and the tables hold it."""
+        limit = fwht_module.DISPERSION_WORK_LIMIT
+        largest = max(limit // (t - 1) * (t * t // 4) for t in range(2, limit + 2))
+        assert largest == 156 < np.iinfo(np.int16).max
+        assert (s - 1) * n == limit
+        seen = []
+        chunk_values = fwht_module._chunk_values
+
+        def spy(*args):
+            vals = chunk_values(*args)
+            seen.append((vals.dtype, int(vals.max())))
+            return vals
+
+        monkeypatch.setattr(fwht_module, "_chunk_values", spy)
+        wit = exact_dispersion(CnfFormula(n, []), s, DispersionObjective.SUM_PD)
+        assert sum_pairwise_distance(wit) == n * (s * s // 4)
+        assert {dtype for dtype, _ in seen} == {np.dtype(np.int16)}
+        assert max(top for _, top in seen) == n * (s * s // 4)
+
     @pytest.mark.parametrize("objective", list(DispersionObjective))
     @pytest.mark.parametrize("s", [2, 3])
     def test_agreement_with_brute(self, objective, s):
@@ -298,6 +372,53 @@ class TestExactDispersion:
             )
             assert measure(wit) == val
             done += 1
+
+
+def _ordered_tuple_witness(formula, s, objective):
+    """The sorted keys of the ordered solution tuple (p_0, ..., p_{s-1})
+    that wins by the rule the FWHT search follows: the best value, then
+    the smallest (w_1, ..., w_{s-2}) with w_i = p_1 ^ p_{i+1}, then the
+    smallest y = p_0 ^ p_1, then the smallest x = p_0; the points all
+    differ when the objective is distinct.  None when no tuple qualifies."""
+    keys = solution_keys(formula)
+    points = [grid.ravel() for grid in np.meshgrid(*[keys] * s, indexing="ij")]
+    pairs = [popcount(points[a] ^ points[b]) for a, b in combinations(range(s), 2)]
+    fold = np.minimum if objective is DispersionObjective.MIN_PD else np.add
+    value = fold.reduce(pairs)
+    if objective.distinct:
+        value[np.logical_or.reduce([p == 0 for p in pairs])] = -1
+    offsets = [points[1] ^ p for p in points[2:]]
+    order = np.lexsort((points[0], points[0] ^ points[1], *offsets[::-1], -value))
+    if value[order[0]] < 0:
+        return None
+    return sorted(int(p[order[0]]) for p in points)
+
+
+class TestTupleTieRule:
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_witness_is_the_first_ordered_tuple(self, s):
+        """exact_dispersion's witness against the ordered-tuple rule, on
+        random and planted formulas with n <= 7 and few enough solutions
+        that every ordered tuple can be listed."""
+        rng = random.Random(60 + s)
+        nrng = np.random.default_rng(60 + s)
+        cases = 0
+        while cases < 50:
+            n = rng.randint(1, 7)
+            if rng.random() < 0.5:
+                f = _random_formula_any_width(rng, n)
+            else:
+                f, _ = planted_kcnf(n, rng.randint(1, 3), rng.randint(1, 4 * n), nrng)
+            if not 0 < len(solution_keys(f)) <= (64, 24, 12)[s - 2]:
+                continue
+            for objective in DispersionObjective:
+                expected = _ordered_tuple_witness(f, s, objective)
+                if expected is None:
+                    with pytest.raises(InfeasibleError):
+                        exact_dispersion(f, s, objective)
+                else:
+                    assert [z.key for z in exact_dispersion(f, s, objective)] == expected
+            cases += 1
 
 
 def _copying_fwht(v):
@@ -509,8 +630,9 @@ class TestProjection:
 
     def test_table_is_the_slice_at_the_base(self):
         """Random solution sets that agree on the coordinates of a random
-        mask: the table holds fb at the expanded keys, in key order, and
-        is a view of fb when no coordinate is constant."""
+        mask, projected on the coordinates they disagree on: the table holds fb
+        at the expanded keys, in key order, and is a view of fb when no
+        coordinate is constant."""
         rng = np.random.default_rng(5)
         for n in range(8):
             for _ in range(8):
@@ -518,10 +640,12 @@ class TestProjection:
                 mask = int(rng.integers(0, 1 << n))
                 fb = np.zeros(1 << n, dtype=bool)
                 fb[(keys & ~mask) | (int(keys[0]) & mask)] = True
-                table, bits, base = fwht_module._project(fb)
                 solutions = np.flatnonzero(fb)
+                base = int(np.bitwise_and.reduce(solutions))
+                free = int(np.bitwise_or.reduce(solutions)) ^ base
+                bits = [bit for bit in range(n) if free >> bit & 1]
+                table = fwht_module._project(fb, bits, base)
                 assert len(table) == 1 << len(bits)
-                assert base == int(np.bitwise_and.reduce(solutions))
                 full = [fwht_module._expand(k, bits, base) for k in range(len(table))]
                 assert full == sorted(full)
                 assert table.tolist() == fb[full].tolist()
@@ -530,11 +654,17 @@ class TestProjection:
                     assert np.shares_memory(table, fb)
 
     def test_diameter_matches_brute_pair(self, convolutions):
+        """Both diameter routes, called directly, give the brute pair; the
+        FWHT route convolves once, at 2^n'."""
         for f in _backbone_formulas():
+            space = _solution_space(f)
+            expected = _brute_diameter_pair(f)
+            assert fwht_module._list_diameter(f, *space) == expected
             del convolutions[:]
-            z1, z2 = exact_diameter(f)
-            assert (z1.key, z2.key) == _brute_diameter_pair(f)
+            assert fwht_module._fwht_diameter(f, *space) == expected
             assert [size for size, _ in convolutions] == [1 << _free_coordinates(f)]
+            z1, z2 = exact_diameter(f)
+            assert (z1.key, z2.key) == expected
 
     @pytest.mark.parametrize("objective", list(DispersionObjective))
     @pytest.mark.parametrize("s", [2, 3])
