@@ -23,9 +23,10 @@ from .cnf import Assignment, CapabilityError, check_key_width, clause_masks
 from .measures import anchor_keys_of, farthest, farthest_index, popcount
 from .ppz import packed_engine, word_for
 
-_TASK_BLOCK = 1 << 9  # anchored tasks per seeded block (seed format 2)
+_TASK_BLOCK = 1 << 9  # anchored tasks per seeded block (seed format 4)
 _GROUP_WALKS = 3 << 10  # planned walks per packed group; bounds memory, not the stream
 _LEVEL_NODES = 1 << 20  # nodes of one extension-search level, which is held whole
+_ORDER_BITS = 16  # widest n whose annulus unranking is one gather (2^16 int64 entries)
 
 
 def entropy(x):
@@ -291,46 +292,67 @@ def local_search(formula, y, t, plan, rng):
 
 
 @functools.cache
-def _binomial_prefix(n):
-    """P[x] = sum of C(n, j) for j < x, x = 0..n+1, as uint64."""
+def _binomials(n):
+    """(P, C), read-only uint64: P[x] = sum of C(n, j) for j < x, x =
+    0..n+1, and C[j, x] = C(j, x) for j, x = 0..n."""
     check_key_width(n)
-    prefix = np.array(
-        [0] + list(itertools.accumulate(math.comb(n, x) for x in range(n + 1))),
-        dtype=np.uint64,
-    )
+    rows = range(n + 1)
+    table = np.array([[math.comb(j, x) for x in rows] for j in rows], dtype=np.uint64)
+    prefix = np.zeros(n + 2, dtype=np.uint64)
+    np.cumsum(table[n], out=prefix[1:])
+    table.setflags(write=False)
     prefix.setflags(write=False)
-    return prefix
+    return prefix, table
+
+
+def _unrank(n, index):
+    """The int64 n-bit masks at the uint64 indices of the order by weight,
+    then colex: index P[r] + i is the i-th r-bit mask in colex order (see
+    _binomials), by the combinatorial number system, top bit first."""
+    prefix, table = _binomials(n)
+    left = np.searchsorted(prefix, index, side="right") - 1  # bits still to set
+    rest = index - prefix[left]
+    mask = np.zeros(len(index), dtype=np.int64)
+    for j in range(n - 1, -1, -1):
+        low = table[j, left]  # ways to set the remaining bits below bit j
+        take = rest >= low
+        rest -= low * take
+        left -= take
+        mask |= take.astype(np.int64) << j
+    return mask
+
+
+@functools.cache
+def _weight_order(n):
+    """_unrank(n, i) for every i < 2^n, read-only (n <= _ORDER_BITS)."""
+    order = _unrank(n, np.arange(1 << n, dtype=np.uint64))
+    order.setflags(write=False)
+    return order
 
 
 def _annulus_keys(blocks, n, centers, lo, hi):
     """One uniform point per row of {x : lo <= d_H(x, center) <= hi},
     as int64 keys; lo <= hi <= n per row.  `blocks` lists (generator,
-    rows) pairs that cover the rows in order.  Each generator draws its
-    rows' radii, with the exact integer weights C(n, radius), and then
-    their uniform permutations of the n coordinates, of which the first
-    `radius` are flipped."""
-    prefix = _binomial_prefix(n)
+    rows) pairs that cover the rows in order.  Each generator draws one
+    index per row, uniform over [P[lo], P[hi + 1]) (see _binomials),
+    and nothing else; its mask in the order by weight, then colex, is
+    the row's flips, so the radius has the exact weights C(n, radius)."""
+    prefix = _binomials(n)[0]
     base = prefix[lo]
     span = prefix[hi + 1] - base
-    draw = np.empty(len(centers), dtype=np.uint64)
-    word = word_for(n)
-    flips = np.empty((len(centers), n), dtype=word)
-    bit = np.array([1 << (n - 1 - j) for j in range(n)], dtype=word)
-    iota = np.arange(n)  # int64 rows: numpy's fast permuted path
+    index = np.empty(len(centers), dtype=np.uint64)
     at = 0
     for gen, rows in blocks:
-        draw[at : at + rows] = gen.integers(0, span[at : at + rows], dtype=np.uint64)
-        order = gen.permuted(np.broadcast_to(iota, (rows, n)), axis=1)
-        np.take(bit, order, out=flips[at : at + rows])  # coordinate -> its key bit
+        index[at : at + rows] = gen.integers(0, span[at : at + rows], dtype=np.uint64)
         at += rows
-    radius = np.searchsorted(prefix, base + draw, side="right") - 1
-    flips *= iota < radius[:, None]
-    return centers ^ (flips @ np.ones(n, dtype=word)).astype(np.int64)  # sum = OR
+    index += base
+    flips = _weight_order(n)[index] if n <= _ORDER_BITS else _unrank(n, index)
+    return centers ^ flips
 
 
 def sample_annulus(z, lo, hi, rng):
     """Uniform point of {x : lo <= d_H(x, z) <= min(hi, n)}: one row of
-    the anchored search's block sampler."""
+    the anchored search's block sampler, which draws one index from rng."""
     n = z.n
     if lo > n:
         raise ValueError("lo exceeds n")
@@ -415,12 +437,13 @@ def _anchored_argmax(n, plan, cfg, window, centers, r_first, search, anchors, re
     (out keys, hit) whose weight lies in `window`, the farthest from the
     keys `anchors` by `reduce` (see farthest_index), even at 0.
 
-    Seed format 2: the (r, center, repetition) tasks, in that order, are
+    Seed format 4: the (r, center, repetition) tasks, in that order, are
     cut into blocks of _TASK_BLOCK.  Block b draws from one generator
-    seeded by cfg.seed_sequence(b): its starts (see _annulus_keys), then
-    what the search draws from its (generator, rows) pair.  Whole blocks
-    are grouped up to _GROUP_WALKS planned walks, and a group is sampled,
-    searched, filtered and reduced at once."""
+    seeded by cfg.seed_sequence(b): one annulus index per task (see
+    _annulus_keys), then what the search draws from its (generator,
+    rows) pair.  Whole blocks are grouped up to _GROUP_WALKS planned
+    walks, and a group is sampled, searched, filtered and reduced at
+    once."""
     if plan.n != n:
         raise ValueError(f"the plan is for n={plan.n}, the search for n={n}")
     anchored_walks(plan, cfg.effort, len(centers), r_first)

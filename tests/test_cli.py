@@ -286,9 +286,11 @@ class TestTooLarge:
             "runpy.run_module('dispersat.cli', run_name='__main__')"
         )
         argv = ["disperse", "--s", "2", "--algo", "exact", str(path)]
+        # the child gets no PYTHONDONTWRITEBYTECODE from env; -B keeps the choice
+        bytecode = ["-B"] if sys.flags.dont_write_bytecode else []
         started = time.perf_counter()
         done = subprocess.run(
-            [sys.executable, "-c", child, *argv],
+            [sys.executable, *bytecode, "-c", child, *argv],
             capture_output=True,
             text=True,
             env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
@@ -333,8 +335,11 @@ class TestModuleEntry:
         path = tmp_path / "or2.cnf"
         path.write_text(OR2)
         src = str(Path(dispersat.__file__).resolve().parents[1])
+        # the child gets no PYTHONDONTWRITEBYTECODE from env; -B keeps the choice
+        bytecode = ["-B"] if sys.flags.dont_write_bytecode else []
+        argv = ["-m", "dispersat.cli", "diameter", "--algo", "fwht", str(path)]
         done = subprocess.run(
-            [sys.executable, "-m", "dispersat.cli", "diameter", "--algo", "fwht", str(path)],
+            [sys.executable, *bytecode, *argv],
             capture_output=True,
             text=True,
             env={"PYTHONPATH": src},
@@ -585,7 +590,9 @@ class TestSchoeningGolden:
     engine keep the seeded outputs.  At delta 1/2 the weighted oracle's
     window is a proper sub-range of the weights ([3, 10] for --weight-min
     5, [1, 7] for --weight-max 5), and at effort 0.1 its answers depend
-    on the stream it draws."""
+    on the stream it draws.  Recorded under seed format 4 of the anchored
+    search: a block draws one annulus index per task, then its walks'
+    uniforms."""
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -607,7 +614,7 @@ class TestSchoeningGolden:
             (
                 "disperse --algo schoening --s 3 --weight-min 5 --delta 1/2 --effort 0.1 "
                 "--seed 16 -",
-                '{"assignments": ["1111111110", "1000101101", "1001110011"], '
+                '{"assignments": ["1001111111", "0110111100", "1101011000"], '
                 '"command": "disperse --algo schoening --s 3 --weight-min 5 --delta 1/2 '
                 '--effort 0.1 --seed 16 -", "counters": {}, "schema_version": 1, '
                 '"seed": 16, "status": "OK", "values": {"minPD": 5, "sumPD": 16}}',
@@ -615,10 +622,10 @@ class TestSchoeningGolden:
             (
                 "disperse --algo schoening --s 3 --weight-max 5 --delta 1/2 --effort 0.1 "
                 "--seed 17 -",
-                '{"assignments": ["0010110100", "1101011010", "0100111111"], '
+                '{"assignments": ["1001100101", "0010110110", "1101011110"], '
                 '"command": "disperse --algo schoening --s 3 --weight-max 5 --delta 1/2 '
                 '--effort 0.1 --seed 17 -", "counters": {}, "schema_version": 1, '
-                '"seed": 17, "status": "OK", "values": {"minPD": 5, "sumPD": 18}}',
+                '"seed": 17, "status": "OK", "values": {"minPD": 6, "sumPD": 18}}',
             ),
             (
                 "disperse --algo schoening --s 3 --seed 13 -",
@@ -629,10 +636,10 @@ class TestSchoeningGolden:
             ),
             (
                 "disperse --algo schoening --s 3 --objective sum --seed 14 -",
-                '{"assignments": ["1111111100", "0000101101", "1001110011"], '
+                '{"assignments": ["1111111100", "0000101111", "1001110001"], '
                 '"command": "disperse --algo schoening --s 3 --objective sum --seed 14 -", '
                 '"counters": {"oracle_calls": 5}, "schema_version": 1, "seed": 14, '
-                '"status": "OK", "values": {"minPD": 6, "sumPD": 18}}',
+                '"status": "OK", "values": {"minPD": 5, "sumPD": 18}}',
             ),
             (
                 "diameter --algo schoening --seed 15 -",

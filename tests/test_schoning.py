@@ -703,8 +703,10 @@ except AssertionError as err:
     print(err)
 """
         src = str(Path(schoning.__file__).resolve().parents[1])
+        # the child gets no PYTHONDONTWRITEBYTECODE from env; -B keeps the choice
+        bytecode = ["-B"] if sys.flags.dont_write_bytecode else []
         done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
+            [sys.executable, *bytecode, "-O", "-c", script],
             capture_output=True,
             text=True,
             env={"PYTHONPATH": src},
@@ -760,23 +762,64 @@ class TestBlockSampler:
         # binomial(63, 1/2): mean 31.5, standard deviation 3.97
         assert abs(np.bitwise_count(keys ^ centers).mean() - 31.5) < 0.5
 
-    def test_block_generators_draw_in_seed_format_2(self):
-        """numpy facts seed format 2 relies on: a block's permutation rows
-        do not depend on the integer type of the coordinates (uint8 would
-        do; the sampler permutes int64, numpy's fast path) or on being
-        written in place, and one draw of a block's uniforms is the
-        stream of its per-walk draws."""
-        for n, rows in ((1, 3), (10, 512), (63, 7)):
-            wide = np.broadcast_to(np.arange(n), (rows, n))
-            want = rng_for(82, n).permuted(wide, axis=1)
-            got = np.zeros((rows + 2, n), dtype=np.uint8)
-            small = np.broadcast_to(np.arange(n, dtype=np.uint8), (rows, n))
-            rng_for(82, n).permuted(small, axis=1, out=got[1 : rows + 1])
-            assert (got[1 : rows + 1] == want).all()
+    def test_block_generators_draw_in_seed_format_4(self):
+        """A block's generator draws one index per row, uniform over
+        [P[lo], P[hi + 1]), whose mask flips the row's center, and nothing
+        else, so the walks' uniforms follow the indices; and one draw of
+        a block's uniforms is the stream of its per-walk draws."""
+        for n, rows in ((1, 3), (10, 512), (17, 40), (63, 7)):
+            lo = rng_for(84, n).integers(0, n + 1, rows)
+            hi = np.minimum(lo + rng_for(85, n).integers(0, n + 1, rows), n)
+            centers = rng_for(86, n).integers(0, 1 << n, rows)
+            gen = rng_for(82, n)
+            keys = schoning._annulus_keys([(gen, rows)], n, centers, lo, hi)
+            ref = rng_for(82, n)
+            prefix = schoning._binomials(n)[0]
+            index = ref.integers(0, prefix[hi + 1] - prefix[lo], dtype=np.uint64)
+            index += prefix[lo]
+            assert (keys == centers ^ schoning._unrank(n, index)).all()
+            assert (gen.random(5) == ref.random(5)).all()
         whole = rng_for(83).random(3 * 4 + 0 + 5)
         gen = rng_for(83)
         parts = [gen.random(k) for k in (4, 4, 4, 0, 5)]
         assert (np.concatenate(parts) == whole).all()
+
+    def test_weight_order_is_the_unranking(self):
+        """The cached order lists every n-bit mask once, by weight and
+        then by value (colex), and agrees with _unrank at every index."""
+        for n in range(11):
+            order = schoning._weight_order(n)
+            assert (np.sort(order) == np.arange(1 << n)).all()
+            assert (np.diff(np.bitwise_count(order)) >= 0).all()
+            weight = np.bitwise_count(np.arange(1 << n))
+            assert (order == np.argsort(weight, kind="stable")).all()
+            every = np.arange(1 << n, dtype=np.uint64)
+            assert (order == schoning._unrank(n, every)).all()
+
+    def test_unranking_gives_the_gathered_keys(self, monkeypatch):
+        """With no cached order, _annulus_keys unranks each index and
+        gives the same keys on the same generators."""
+        draws = 3000
+        for n in (10, 12, 16):
+            lo = rng_for(87, n).integers(0, n + 1, draws)
+            hi = np.minimum(lo + rng_for(88, n).integers(0, n + 1, draws), n)
+            centers = rng_for(89, n).integers(0, 1 << n, draws)
+            keys = []
+            for bits in (schoning._ORDER_BITS, 0):
+                monkeypatch.setattr(schoning, "_ORDER_BITS", bits)
+                blocks = [(rng_for(90, n, b), draws // 3) for b in range(3)]
+                keys.append(schoning._annulus_keys(blocks, n, centers, lo, hi))
+            assert (keys[0] == keys[1]).all()
+
+    def test_unrank_ends_of_each_weight_at_n63(self):
+        """Index P[r] is the lowest r bits and P[r + 1] - 1 the highest r."""
+        n = 63
+        prefix = schoning._binomials(n)[0]
+        first = schoning._unrank(n, prefix[:-1])
+        last = schoning._unrank(n, prefix[1:] - np.uint64(1))
+        for r in range(n + 1):
+            assert int(first[r]) == (1 << r) - 1
+            assert int(last[r]) == ((1 << r) - 1) << (n - r)
 
     def test_sample_annulus_is_one_row(self):
         z = A("1011001010")

@@ -280,8 +280,10 @@ except AssertionError as err:
     print(err)
 """
         src = str(Path(subsets.__file__).resolve().parents[1])
+        # the child gets no PYTHONDONTWRITEBYTECODE from env; -B keeps the choice
+        bytecode = ["-B"] if sys.flags.dont_write_bytecode else []
         done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
+            [sys.executable, *bytecode, "-O", "-c", script],
             capture_output=True,
             text=True,
             env={"PYTHONPATH": src},
